@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     BudgetExceededError,
+    InvariantError,
     MatchingInfeasibleError,
     OutOfRangeError,
     RegimeViolationWarning,
@@ -361,20 +362,14 @@ def find_multicolored(
     }
     if g.edge_count() == 0:
         chosen = tuple(sorted(r_ids))
-        rep = collisions(c, chosen)
-        assert rep.multicolored
+        if not collisions(c, chosen).multicolored:
+            raise InvariantError("a sample without conflict edges has a collision")
         report["method"] = "whole-sample"
         return chosen, report
 
     if regime == "log":
         census = g.cycle_census(2, want_witnesses=True)
-        pair_sets = []
-        for w in census.witnesses or []:
-            vs = set()
-            for e in w.edges:
-                vs.update(e)
-            pair_sets.append(vs)
-        removed = greedy_hitting_set(pair_sets)
+        removed = greedy_hitting_set([set().union(*w.edges) for w in census.witnesses or []])
         keep = np.array([v for v in range(g.n) if v not in removed], dtype=np.int64)
         g2, map2 = g.induced(keep)
         report["two_cycles_removed"] = census.two_cycles
@@ -404,8 +399,8 @@ def find_multicolored(
         local = list(solved.witness)
         report["method"] = solved.method
     chosen = tuple(sorted(int(mapping[v]) for v in local))
-    rep = collisions(c, chosen)
-    assert rep.multicolored, "finder returned a collision"
+    if not collisions(c, chosen).multicolored:
+        raise InvariantError("finder returned a collision")
     report["size"] = len(chosen)
     return chosen, report
 

@@ -42,6 +42,10 @@ class BudgetExceededError(HyperindepError):
     """An exhaustive computation hit its node/tuple budget."""
 
 
+class InvariantError(HyperindepError):
+    """An internal invariant failed: a bug, never bad input."""
+
+
 class StepFailedError(HyperindepError):
     """A semi-random step could not meet its postconditions within its retry budget."""
 

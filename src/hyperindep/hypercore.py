@@ -132,7 +132,6 @@ class Hypergraph:
         "_edge_sets",
         "_incidence",
         "_degrees",
-        "_pair_counts",
     )
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()):
@@ -156,7 +155,6 @@ class Hypergraph:
         self._edge_sets: list[frozenset[int]] | None = None
         self._incidence: tuple[np.ndarray, np.ndarray] | None = None
         self._degrees: dict[int, np.ndarray] = {}
-        self._pair_counts: dict | None = None
 
     @classmethod
     def _from_arrays(cls, n: int, by_size: dict[int, np.ndarray]) -> "Hypergraph":
@@ -168,7 +166,6 @@ class Hypergraph:
         h._edge_sets = None
         h._incidence = None
         h._degrees = {}
-        h._pair_counts = None
         return h
 
     # ------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Four mechanisms, composable through ``best_of``:
 
-* ``spencer_solve`` — sample vertices with probability 1/(2T), then delete one
-  vertex from each surviving edge; best of many seeded trials.
+* ``spencer_solve`` — sample vertices with probability 1/(2T), then delete a
+  hitting set of the surviving edges; best of many seeded trials.
 * ``greedy_solve`` — deterministic minimum-residual-degree greedy.
 * ``uncrowded_solve`` — iterative semi-random rounds on an uncrowded
   hypergraph: each round extracts a small independent slice I and hands the
@@ -11,6 +11,9 @@ Four mechanisms, composable through ``best_of``:
 * ``linear_solve`` — pipeline for linear instances with a girth-5 graph
   layer: prune high degrees, subsample, destroy the few remaining short
   cycles by vertex deletion, then run the uncrowded machinery.
+
+Spencer's surviving edges, the pipeline's short cycles and the rainbow
+finder's 2-cycles are all deleted by one lazy-heap ``greedy_hitting_set``.
 
 Every returned witness is re-verified against the input hypergraph. All
 randomness is drawn from per-(seed, label) generators so identical calls give
@@ -28,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import StepFailedError, WindowUnreachableError
+from .errors import InvariantError, StepFailedError, WindowUnreachableError
 from .hypercore import Hypergraph
 
 __all__ = [
@@ -122,61 +125,40 @@ def spencer_solve(
 ) -> SolveReport:
     """Best of ``trials`` rounds of sample-then-delete.
 
-    Each round keeps every vertex with probability p = 1/(2T), then—while any
-    kept edge survives—removes the kept vertex of highest remaining degree
-    (ties to the lowest id). Targets size >= ceil(n / 4T).
+    Each round keeps every vertex with probability p = 1/(2T), then removes
+    :func:`greedy_hitting_set` of the surviving edges (highest remaining
+    degree first, ties to the lowest id). An edge survives iff its id occurs
+    ``size`` times in the sample's slice of the incidence CSR, so a round
+    costs O(incidence of the sample), not O(m). Targets size >= ceil(n / 4T).
     """
     t_start = time.perf_counter()
     T = _resolve_T(h, T)
     p = min(1.0, 1.0 / (2.0 * T))
     n = h.n
-    sizes = [(s, h.edge_array(s)) for s in h.sizes]
     indptr, eids = h.incidence()
-    edge_tuples = h.edge_tuples()
+    arrays = [h.edge_array(s) for s in h.sizes]
+    # global edge ids of size block i are bounds[i]..bounds[i+1]-1
+    bounds = np.cumsum([0] + [len(a) for a in arrays])
+    edge_size = np.repeat(np.array(h.sizes, dtype=np.int64), np.diff(bounds))
 
-    best: tuple[int, tuple[int, ...]] | None = None
+    best = None
     for trial in range(trials):
-        rng = _rng(seed, trial)
-        mask = rng.random(n) < p
-        sampled = np.flatnonzero(mask)
-        # surviving edges, found through the incidence of sampled vertices
-        cand: set[int] = set()
-        for v in sampled:
-            cand.update(eids[indptr[v] : indptr[v + 1]].tolist())
-        alive: list[tuple[int, ...]] = []
-        for eid in cand:
-            e = edge_tuples[eid]
-            if all(mask[v] for v in e):
-                alive.append(e)
-        kept = set(int(v) for v in sampled)
-        if alive:
-            deg: dict[int, int] = {}
-            vert_edges: dict[int, list[int]] = {}
-            for idx, e in enumerate(alive):
-                for v in e:
-                    deg[v] = deg.get(v, 0) + 1
-                    vert_edges.setdefault(v, []).append(idx)
-            dead = [False] * len(alive)
-            remaining = len(alive)
-            while remaining:
-                v = max(deg, key=lambda u: (deg[u], -u))
-                kept.discard(v)
-                for idx in vert_edges.get(v, ()):
-                    if dead[idx]:
-                        continue
-                    dead[idx] = True
-                    remaining -= 1
-                    for u in alive[idx]:
-                        if u in deg:
-                            deg[u] -= 1
-                del deg[v]
-        witness = tuple(sorted(kept))
-        if (
-            best is None
-            or len(witness) > best[0]
-            or (len(witness) == best[0] and witness < best[1])
-        ):
-            best = (len(witness), witness)
+        sampled = np.flatnonzero(_rng(seed, trial).random(n) < p)
+        starts = indptr[sampled]
+        lengths = indptr[sampled + 1] - starts
+        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        ids, hits = np.unique(eids[shift + np.arange(len(shift))], return_counts=True)
+        alive = ids[hits == edge_size[ids]]
+        witness = tuple(sampled.tolist())
+        if len(alive):
+            edges = []
+            for lo, hi, arr in zip(bounds, bounds[1:], arrays):
+                edges.extend(arr[alive[(alive >= lo) & (alive < hi)] - lo].tolist())
+            removed = greedy_hitting_set(edges)
+            witness = tuple(v for v in witness if v not in removed)
+        # larger set first, ties to the lexicographically smaller witness
+        if best is None or (-len(witness), witness) < best:
+            best = (-len(witness), witness)
     witness = best[1] if best else ()
     params = {"T": T, "p": p, "trials": trials, "target": math.ceil(n / (4 * T)) if T > 0 else 0}
     return _finish(h, "spencer", seed, params, witness, [], t_start)
@@ -749,27 +731,39 @@ def _mix(seed: int, idx: int) -> int:
 # ----------------------------------------------------------------------
 
 
-def greedy_hitting_set(vertex_sets: list[set[int]]) -> set[int]:
-    """Vertices covering every given set, chosen by descending multiplicity
-    (ties to the lowest id). Each set loses at most one vertex overall."""
-    hits: dict[int, int] = {}
-    for vs in vertex_sets:
+def greedy_hitting_set(vertex_sets: Sequence[Iterable[int]]) -> set[int]:
+    """Vertices meeting every given set: each pick takes the vertex lying in
+    the most sets not yet hit, ties to the lowest id.
+
+    Counts live in a lazy heap of ``(-count, v)`` whose stale entries are
+    skipped when popped, so the cost is O(total set size · log), not one
+    rescan of every count per pick; the picks are those of the rescan.
+    Raises ``ValueError`` if a set is empty.
+    """
+    where: dict[int, list[int]] = {}
+    for idx, vs in enumerate(vertex_sets):
         for v in vs:
-            hits[v] = hits.get(v, 0) + 1
-    chosen: set[int] = set()
-    active = [True] * len(vertex_sets)
+            where.setdefault(v, []).append(idx)
+    count = {v: len(ids) for v, ids in where.items()}
+    heap = [(-c, v) for v, c in count.items()]
+    heapq.heapify(heap)
+    hit, chosen = [False] * len(vertex_sets), set()
     remaining = len(vertex_sets)
     while remaining:
-        v = max(hits, key=lambda u: (hits[u], -u))
+        if not heap:
+            raise ValueError("an empty set cannot be hit")
+        c, v = heapq.heappop(heap)
+        if v in chosen or -c != count[v]:
+            continue
         chosen.add(v)
-        for idx, vs in enumerate(vertex_sets):
-            if active[idx] and v in vs:
-                active[idx] = False
+        for idx in where[v]:
+            if not hit[idx]:
+                hit[idx] = True
                 remaining -= 1
-                for u in vs:
-                    if u in hits:
-                        hits[u] -= 1
-        del hits[v]
+                for u in vertex_sets[idx]:
+                    if u not in chosen:
+                        count[u] -= 1
+                        heapq.heappush(heap, (-count[u], u))
     return chosen
 
 
@@ -821,19 +815,23 @@ def linear_solve(
     params: PipelineParams | None = None,
     seed: int = 0,
     check_preconditions: bool = True,
+    *,
+    _greedy: SolveReport | None = None,
 ) -> SolveReport:
     """Pipeline for linear hypergraphs whose graph layer has girth >= 5.
 
     Stages: (1) prune vertices over k*c*T^{i-1}(ln T)^{(k-i)/(k-1)}; (2) keep
     each vertex with probability T^{eps-1}; (3) census the sample and delete
     one vertex from each 3-cycle and 3-cycle-free 4-cycle (greedy by how many
-    cycles a vertex hits) so the remainder is uncrowded — this is asserted;
+    cycles a vertex hits) so the remainder is uncrowded — this is checked;
     (4) run the uncrowded solver with driving parameter T^eps; for small T,
     (5) fall back on the random-deletion solver; (6) take the best of the
-    stage result and plain greedy.
+    stage result and plain greedy. ``best_of`` hands over its own greedy
+    report through ``_greedy`` so that greedy runs once per solve.
     """
     t_start = time.perf_counter()
     params = params or PipelineParams()
+    gr = _greedy if _greedy is not None else greedy_solve(h)
     if check_preconditions:
         broken = None
         if h.has_two_cycle():
@@ -844,7 +842,6 @@ def linear_solve(
             # outside the pipeline's hypothesis: fall back on the structure-free
             # solvers but still return a verified set
             warnings.warn(f"{broken}; pipeline skipped", stacklevel=2)
-            gr = greedy_solve(h)
             sp = spencer_solve(h, seed=_mix(seed, 4), trials=params.trials)
             pick = gr if gr.better_than(sp) else sp
             out_params = {"fallback": broken, "chosen": pick.method}
@@ -887,14 +884,7 @@ def linear_solve(
             "four_ok": census.four_total <= bound4,
         }
     )
-    witness_sets = []
-    for w in census.witnesses or []:
-        if w.length < 3:
-            continue
-        vs = set()
-        for e in w.edges:
-            vs.update(e)
-        witness_sets.append(vs)
+    witness_sets = [set().union(*w.edges) for w in census.witnesses or [] if w.length >= 3]
     removed_cycle_vertices = greedy_hitting_set(witness_sets)
     keep3 = np.array(
         [v for v in range(h2.n) if v not in removed_cycle_vertices], dtype=np.int64
@@ -910,7 +900,8 @@ def linear_solve(
             "residual_uncrowded": residual_census.is_uncrowded,
         }
     )
-    assert residual_census.is_uncrowded, "cycle deletion left a short cycle"
+    if not residual_census.is_uncrowded:
+        raise InvariantError("cycle deletion left a short cycle")
 
     candidates: list[SolveReport] = []
     tail_T = max(T**eps, 1.5)
@@ -925,7 +916,8 @@ def linear_solve(
     )
     # independence survives the relabeling chain; a failure here means the
     # stage maps were composed wrongly, not that the tail found a bad set
-    assert tail_candidate.verified
+    if not tail_candidate.verified:
+        raise InvariantError("the nibble tail's witness is not independent in the input")
     candidates.append(tail_candidate)
     trace.append({"event": "tail", "size": tail.size, "tail_T": tail_T})
 
@@ -934,7 +926,6 @@ def linear_solve(
         candidates.append(sp)
         trace.append({"event": "small_T_spencer", "size": sp.size})
 
-    gr = greedy_solve(h)
     candidates.append(gr)
     trace.append({"event": "greedy", "size": gr.size})
 
@@ -965,7 +956,8 @@ def best_of(h: Hypergraph, seed: int = 0, trials: int = 200) -> SolveReport:
     linear ones with a girth-5 graph layer to the pipeline, everything else
     to random deletion — and always race plain greedy; best verified wins."""
     t_start = time.perf_counter()
-    candidates = [greedy_solve(h)]
+    gr = greedy_solve(h)
+    candidates = [gr]
     linear = not h.has_two_cycle()
     uncrowded = False
     layer_ok = False
@@ -982,7 +974,13 @@ def best_of(h: Hypergraph, seed: int = 0, trials: int = 200) -> SolveReport:
         candidates.append(uncrowded_solve(h, seed=_mix(seed, 11)))
     elif linear and layer_ok:
         candidates.append(
-            linear_solve(h, PipelineParams(trials=trials), seed=_mix(seed, 12), check_preconditions=False)
+            linear_solve(
+                h,
+                PipelineParams(trials=trials),
+                seed=_mix(seed, 12),
+                check_preconditions=False,
+                _greedy=gr,
+            )
         )
     candidates.append(spencer_solve(h, seed=_mix(seed, 13), trials=trials))
     best = None

@@ -50,7 +50,12 @@ def digest(obj) -> str:
 
 
 def _report(rep: nibble.SolveReport) -> dict:
-    return {"method": rep.method, "witness": rep.witness, "params": rep.params, "verified": rep.verified}
+    return {
+        "method": rep.method,
+        "witness": rep.witness,
+        "params": rep.params,
+        "verified": rep.verified,
+    }
 
 
 def spencer_case(name: str, seed: int):
@@ -62,7 +67,8 @@ def cli_solve_case(name: str, algo: str):
         with tempfile.TemporaryDirectory() as tmp:
             nhg, out = os.path.join(tmp, "h.nhg"), os.path.join(tmp, "report.json")
             hi.save_nhg(instance(name), nhg)
-            code = harness.cli_main(["solve", "--algo", algo, "--in", nhg, "--seed", "7", "--out", out])
+            argv = ["solve", "--algo", algo, "--in", nhg, "--seed", "7", "--out", out]
+            code = harness.cli_main(argv)
             return digest(Path(out).read_bytes() + f"exit={code}".encode())
 
     return run

@@ -1,11 +1,13 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 import hyperindep as hi
+from hyperindep import antiramsey
 from hyperindep.antiramsey import ColorClass, load_coloring, save_coloring
-from hyperindep.errors import MatchingInfeasibleError, RegimeViolationWarning
+from hyperindep.errors import InvariantError, MatchingInfeasibleError, RegimeViolationWarning
 
 
 def fresh_coloring(n, ell=2, u=None):
@@ -168,6 +170,23 @@ class TestPlanAndFind:
         found, report = hi.find_multicolored(c, plan, seed=3)
         assert report["method"] == "whole-sample"
         assert len(found) == report["R"]
+
+    @pytest.mark.parametrize(
+        "fresh, message", [(True, "without conflict edges"), (False, "finder returned")]
+    )
+    def test_collision_in_result_raises(self, monkeypatch, fresh, message):
+        n = 96
+        plan = hi.plan_conflict_build(n, {2: 12}, regime="poly")
+        if fresh:
+            c = fresh_coloring(n)
+        else:
+            c = small_random_coloring(n, 12, seed=1)
+            plan = dataclasses.replace(plan, p=0.4)
+            assert hi.conflict_hypergraph(c, range(n))[0].edge_count() > 0
+        collided = hi.CollisionReport(x=1, y={0: 1}, colored_inside=2, multicolored=False)
+        monkeypatch.setattr(antiramsey, "collisions", lambda coloring, probe: collided)
+        with pytest.raises(InvariantError, match=message):
+            hi.find_multicolored(c, plan, seed=2)
 
     def test_every_run_multicolored(self):
         for seed in range(10):

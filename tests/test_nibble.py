@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperindep as hi
-from hyperindep.errors import StepFailedError, WindowUnreachableError
-from hyperindep.nibble import NibbleSchedule
+from hyperindep import nibble
+from hyperindep.errors import InvariantError, StepFailedError, WindowUnreachableError
+from hyperindep.nibble import NibbleSchedule, greedy_hitting_set
 
 from conftest import random_small_hypergraph
 
@@ -16,6 +17,52 @@ E = math.e
 
 def girth5(n, t, seed=0):
     return hi.generate(hi.GenSpec("girth5_graph", n, {2: float(t)}, seed=seed))
+
+
+def reference_hitting_set(vertex_sets):
+    """The rescanning rule: pick the vertex in the most unhit sets, ties to
+    the lowest id, by a full scan of every count per pick."""
+    hits = {}
+    for vs in vertex_sets:
+        for v in vs:
+            hits[v] = hits.get(v, 0) + 1
+    chosen = set()
+    active = [True] * len(vertex_sets)
+    remaining = len(vertex_sets)
+    while remaining:
+        v = max(hits, key=lambda u: (hits[u], -u))
+        chosen.add(v)
+        for idx, vs in enumerate(vertex_sets):
+            if active[idx] and v in vs:
+                active[idx] = False
+                remaining -= 1
+                for u in vs:
+                    if u in hits:
+                        hits[u] -= 1
+        del hits[v]
+    return chosen
+
+
+def reference_spencer(h, T, seed, trials):
+    """Sample-then-delete by scanning every edge of every trial."""
+    p = min(1.0, 1.0 / (2.0 * T))
+    best = None
+    for trial in range(trials):
+        mask = nibble._rng(seed, trial).random(h.n) < p
+        alive = [set(e) for e in h.edge_tuples() if all(mask[v] for v in e)]
+        removed = reference_hitting_set(alive)
+        witness = tuple(int(v) for v in np.flatnonzero(mask) if v not in removed)
+        # larger set first, ties to the lexicographically smaller witness
+        if best is None or (-len(witness), witness) < (-len(best), best):
+            best = witness
+    return best
+
+
+def spencer_matches_reference(h, T=None, seed=0, trials=20):
+    rep = hi.spencer_solve(h, T=T, seed=seed, trials=trials)
+    assert rep.verified
+    assert rep.witness == reference_spencer(h, rep.params["T"], seed, trials)
+    return rep
 
 
 class TestSpencer:
@@ -45,6 +92,90 @@ class TestSpencer:
         a = hi.spencer_solve(h, seed=5, trials=30)
         b = hi.spencer_solve(h, seed=5, trials=30)
         assert a.witness == b.witness
+
+    def test_edgeless_matches_reference(self):
+        rep = spencer_matches_reference(hi.new_hypergraph(9, []), seed=3)
+        assert rep.params["p"] == 1.0 and rep.size == 9
+
+    def test_p_one_at_the_T_floor(self):
+        # t_max = 2*2/10 = 0.4 < 0.5, so T sits at the 0.5 floor and p = 1:
+        # every trial keeps every vertex and deletes one hitting set
+        h = hi.new_hypergraph(10, [(0, 1), (1, 2)])
+        rep = spencer_matches_reference(h, seed=4, trials=3)
+        assert rep.params["T"] == 0.5 and rep.params["p"] == 1.0
+        assert rep.witness == (0, 2, 3, 4, 5, 6, 7, 8, 9)
+
+    def test_empty_sample_trial(self):
+        h = hi.new_hypergraph(6, [(0, 1, 2), (3, 4)])
+        T, trials = 200.0, 6
+        samples = [nibble._rng(2, t).random(h.n) < 1 / (2 * T) for t in range(trials)]
+        assert not any(m.any() for m in samples), "pick a seed whose trials all sample nothing"
+        rep = spencer_matches_reference(h, T=T, seed=2, trials=trials)
+        assert rep.witness == ()
+
+    def test_mixed_instances_match_reference(self):
+        for seed in range(6):
+            h = random_small_hypergraph(seed + 200, n_max=14)
+            spencer_matches_reference(h, seed=seed, trials=15)
+        h = hi.generate(hi.GenSpec("uniform_random", 120, {2: 2.0, 3: 3.0}, seed=8))
+        spencer_matches_reference(h, seed=1, trials=40)
+
+    def test_induced_and_disjoint_copies(self):
+        h = hi.generate(hi.GenSpec("uniform_random", 90, {2: 2.0, 3: 2.0}, seed=9))
+        sub, _ = h.induced(range(5, 90, 2))
+        spencer_matches_reference(sub, seed=2, trials=25)
+        copies = sub.disjoint_copies(3)
+        spencer_matches_reference(copies, seed=3, trials=25)
+
+    def test_row_order_not_assumed(self):
+        h = hi.generate(hi.GenSpec("uniform_random", 60, {2: 2.0, 3: 2.0}, seed=10))
+        rng = np.random.default_rng(0)
+        shuffled = {s: h.edge_array(s)[rng.permutation(h.edge_count(s))] for s in h.sizes}
+        h2 = hi.Hypergraph._from_arrays(h.n, shuffled)
+        a = hi.spencer_solve(h, seed=6, trials=30)
+        b = spencer_matches_reference(h2, seed=6, trials=30)
+        assert a.witness == b.witness
+
+
+set_systems = st.lists(st.sets(st.integers(0, 12), min_size=1, max_size=5), max_size=25)
+
+
+class TestGreedyHittingSet:
+    def test_empty_list(self):
+        assert greedy_hitting_set([]) == set() == reference_hitting_set([])
+
+    def test_empty_set_raises(self):
+        with pytest.raises(ValueError):
+            greedy_hitting_set([{1, 2}, set()])
+
+    @given(set_systems)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_rescan(self, sets):
+        got = greedy_hitting_set(sets)
+        assert got == reference_hitting_set(sets)
+        assert all(vs & got for vs in sets)
+
+    @given(set_systems.filter(bool), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_duplicate_sets(self, sets, data):
+        doubled = sets + [set(vs) for vs in data.draw(st.lists(st.sampled_from(sets), min_size=1))]
+        assert greedy_hitting_set(doubled) == reference_hitting_set(doubled)
+
+    @given(st.lists(st.integers(0, 20), max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_singletons(self, vertices):
+        sets = [{v} for v in vertices]
+        assert greedy_hitting_set(sets) == reference_hitting_set(sets) == set(vertices)
+
+    @given(st.lists(st.sets(st.integers(0, 3), min_size=1, max_size=3), max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_tie_heavy(self, sets):
+        assert greedy_hitting_set(sets) == reference_hitting_set(sets)
+
+    def test_ties_go_to_the_lowest_id(self):
+        # all three vertices tie at two sets, so 1 goes first; then 2 and 3
+        # tie at one
+        assert greedy_hitting_set([{1, 2}, {2, 3}, {1, 3}]) == {1, 2}
 
 
 class TestGreedy:
@@ -282,6 +413,35 @@ class TestLinearSolve:
             assert paper[i] == pytest.approx(want)
         override = hi.PipelineParams(c={2: 0.5}).resolved_c(3)
         assert override == {2: 0.5, 3: 1.0}
+
+    def test_cycle_deletion_left_a_cycle_raises(self, monkeypatch):
+        h = hi.generate(hi.GenSpec("mixed_linear", 300, {2: 4.0, 3: 4.0}, seed=1))
+        monkeypatch.setattr(nibble, "greedy_hitting_set", lambda sets: set())
+        with pytest.raises(InvariantError, match="short cycle"):
+            hi.linear_solve(h, seed=1)
+
+    def test_tail_witness_not_independent_raises(self, monkeypatch):
+        h = hi.generate(hi.GenSpec("mixed_linear", 300, {2: 4.0, 3: 4.0}, seed=1))
+        real = nibble.uncrowded_solve
+
+        def everything(sub, **kwargs):
+            rep = real(sub, **kwargs)
+            rep.witness = tuple(range(sub.n))
+            return rep
+
+        monkeypatch.setattr(nibble, "uncrowded_solve", everything)
+        with pytest.raises(InvariantError, match="not independent"):
+            hi.linear_solve(h, seed=1)
+
+    def test_greedy_runs_once_under_best_of(self, monkeypatch):
+        h = hi.generate(hi.GenSpec("mixed_linear", 800, {2: 4.0, 3: 4.0}, seed=2))
+        calls = []
+        real = nibble.greedy_solve
+        monkeypatch.setattr(nibble, "greedy_solve", lambda g: calls.append(g) or real(g))
+        rep = hi.best_of(h, seed=3, trials=20)
+        assert rep.params["dispatch"]["graph_layer_ok"] and len(calls) == 1
+        hi.linear_solve(h, seed=4)
+        assert len(calls) == 2
 
     def test_deterministic(self):
         h = hi.generate(hi.GenSpec("mixed_linear", 1200, {2: 3.0, 3: 3.0}, seed=5))
