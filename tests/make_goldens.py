@@ -41,9 +41,7 @@ def instance(name: str) -> hi.Hypergraph:
 
 
 def digest(obj) -> str:
-    """SHA-256 of bytes, of text, or of the canonical JSON of ``obj``."""
-    if isinstance(obj, str):
-        obj = obj.encode("utf-8")
+    """SHA-256 of bytes, or of the canonical JSON of ``obj``."""
     if not isinstance(obj, bytes):
         obj = json.dumps(harness._jsonable(obj), sort_keys=True).encode("ascii")
     return hashlib.sha256(obj).hexdigest()
