@@ -136,24 +136,27 @@ def spencer_solve(
     p = min(1.0, 1.0 / (2.0 * T))
     n = h.n
     indptr, eids = h.incidence()
+    deg = np.diff(indptr)
     arrays = [h.edge_array(s) for s in h.sizes]
     # global edge ids of size block i are bounds[i]..bounds[i+1]-1
     bounds = np.cumsum([0] + [len(a) for a in arrays])
-    edge_size = np.repeat(np.array(h.sizes, dtype=np.int64), np.diff(bounds))
+    size_less_1 = np.repeat(np.array(h.sizes, dtype=np.int64) - 1, np.diff(bounds))
 
     best = None
     for trial in range(trials):
         sampled = np.flatnonzero(_rng(seed, trial).random(n) < p)
-        starts = indptr[sampled]
-        lengths = indptr[sampled + 1] - starts
+        starts, lengths = indptr[sampled], deg[sampled]
         shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        ids, hits = np.unique(eids[shift + np.arange(len(shift))], return_counts=True)
-        alive = ids[hits == edge_size[ids]]
+        ids = np.sort(eids[shift + np.arange(len(shift))])
+        # an id occurs at most size times, so it occurs exactly size times
+        # iff the entry size-1 places after its first occurrence still holds it
+        last = np.arange(len(ids)) + size_less_1[ids]
+        alive = ids[(last < len(ids)) & (ids[np.minimum(last, len(ids) - 1)] == ids)]
         witness = tuple(sampled.tolist())
         if len(alive):
-            edges = []
-            for lo, hi, arr in zip(bounds, bounds[1:], arrays):
-                edges.extend(arr[alive[(alive >= lo) & (alive < hi)] - lo].tolist())
+            cuts, edges = np.searchsorted(alive, bounds), []
+            for arr, lo, a, b in zip(arrays, bounds, cuts, cuts[1:]):
+                edges.extend(arr[alive[a:b] - lo].tolist())
             removed = greedy_hitting_set(edges)
             witness = tuple(v for v in witness if v not in removed)
         # larger set first, ties to the lexicographically smaller witness
