@@ -131,6 +131,7 @@ class Hypergraph:
         "_edge_tuples",
         "_edge_sets",
         "_incidence",
+        "_edge_id_layout",
         "_degrees",
     )
 
@@ -154,6 +155,7 @@ class Hypergraph:
         self._edge_tuples: list[tuple[int, ...]] | None = None
         self._edge_sets: list[frozenset[int]] | None = None
         self._incidence: tuple[np.ndarray, np.ndarray] | None = None
+        self._edge_id_layout: tuple[np.ndarray, np.ndarray] | None = None
         self._degrees: dict[int, np.ndarray] = {}
 
     @classmethod
@@ -165,6 +167,7 @@ class Hypergraph:
         h._edge_tuples = None
         h._edge_sets = None
         h._incidence = None
+        h._edge_id_layout = None
         h._degrees = {}
         return h
 
@@ -261,31 +264,53 @@ class Hypergraph:
             t_pow[s], t[s] = self.average_degree(s)
         return DegreeProfile(self.n, degrees, t_pow, t)
 
+    def _edge_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """Global edge ids number the size blocks in order: returns the first
+        id of each block (then m) and the size of the edge with each id."""
+        if self._edge_id_layout is None:
+            lens = [len(a) for a in self._by_size.values()]
+            sizes = np.array(list(self._by_size), dtype=np.int64)
+            self._edge_id_layout = (np.cumsum([0] + lens), np.repeat(sizes, lens))
+        return self._edge_id_layout
+
     def incidence(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR map vertex -> global edge ids (canonical edge order)."""
         if self._incidence is None:
-            verts: list[np.ndarray] = []
-            eids: list[np.ndarray] = []
-            base = 0
-            for s, arr in self._by_size.items():
-                if len(arr):
-                    verts.append(arr.ravel().astype(np.int64))
-                    eids.append(np.repeat(np.arange(base, base + len(arr), dtype=np.int64), s))
-                base += len(arr)
-            if verts:
-                v = np.concatenate(verts)
-                e = np.concatenate(eids)
-                order = np.argsort(v, kind="stable")
-                indptr = np.zeros(self.n + 1, dtype=np.int64)
-                np.cumsum(np.bincount(v, minlength=self.n), out=indptr[1:])
-                self._incidence = (indptr, e[order])
-            else:
-                self._incidence = (np.zeros(self.n + 1, dtype=np.int64), np.empty(0, dtype=np.int64))
+            size_of = self._edge_ids()[1]
+            rows = [a.ravel() for a in self._by_size.values()]
+            v = np.concatenate([np.empty(0, np.int64), *rows])
+            e = np.repeat(np.arange(len(size_of), dtype=np.int64), size_of)
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(v, minlength=self.n), out=indptr[1:])
+            self._incidence = (indptr, e[np.argsort(v, kind="stable")])
         return self._incidence
 
     def incident_edge_ids(self, v: int) -> np.ndarray:
         indptr, eids = self.incidence()
         return eids[indptr[v] : indptr[v + 1]]
+
+    def edges_inside(self, vs: np.ndarray) -> list[list[int]]:
+        """Rows of the edges whose vertices all lie in ``vs`` (distinct ids).
+
+        Reads only the slice of :meth:`incidence` that ``vs`` covers, so the
+        cost is O(incidence of ``vs``), not O(m); no row order is assumed.
+        """
+        indptr, eids = self.incidence()
+        bounds, size_of = self._edge_ids()
+        ends = indptr[vs + 1]
+        lengths = ends - indptr[vs]
+        shift = np.repeat(ends - np.cumsum(lengths), lengths)
+        ids = np.sort(eids[shift + np.arange(len(shift))])
+        # an id occurs at most size times, so it occurs exactly size times
+        # iff the entry size-1 places after its first occurrence still holds it
+        last = np.arange(-1, len(ids) - 1) + size_of[ids]
+        inside = ids[(last < len(ids)) & (ids[np.minimum(last, len(ids) - 1)] == ids)]
+        if not len(inside):
+            return []
+        cuts, rows = np.searchsorted(inside, bounds), []
+        for arr, lo, a, b in zip(self._by_size.values(), bounds, cuts, cuts[1:]):
+            rows.extend(arr[inside[a:b] - lo].tolist())
+        return rows
 
     # ------------------------------------------------------------------
     # independence / induced subhypergraphs

@@ -127,36 +127,19 @@ def spencer_solve(
 
     Each round keeps every vertex with probability p = 1/(2T), then removes
     :func:`greedy_hitting_set` of the surviving edges (highest remaining
-    degree first, ties to the lowest id). An edge survives iff its id occurs
-    ``size`` times in the sample's slice of the incidence CSR, so a round
-    costs O(incidence of the sample), not O(m). Targets size >= ceil(n / 4T).
+    degree first, ties to the lowest id). The surviving edges come from
+    :meth:`Hypergraph.edges_inside`, so a round costs O(incidence of the
+    sample), not O(m). Targets size >= ceil(n / 4T).
     """
     t_start = time.perf_counter()
     T = _resolve_T(h, T)
     p = min(1.0, 1.0 / (2.0 * T))
     n = h.n
-    indptr, eids = h.incidence()
-    deg = np.diff(indptr)
-    arrays = [h.edge_array(s) for s in h.sizes]
-    # global edge ids of size block i are bounds[i]..bounds[i+1]-1
-    bounds = np.cumsum([0] + [len(a) for a in arrays])
-    size_less_1 = np.repeat(np.array(h.sizes, dtype=np.int64) - 1, np.diff(bounds))
-
     best = None
     for trial in range(trials):
         sampled = np.flatnonzero(_rng(seed, trial).random(n) < p)
-        starts, lengths = indptr[sampled], deg[sampled]
-        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        ids = np.sort(eids[shift + np.arange(len(shift))])
-        # an id occurs at most size times, so it occurs exactly size times
-        # iff the entry size-1 places after its first occurrence still holds it
-        last = np.arange(len(ids)) + size_less_1[ids]
-        alive = ids[(last < len(ids)) & (ids[np.minimum(last, len(ids) - 1)] == ids)]
-        witness = tuple(sampled.tolist())
-        if len(alive):
-            cuts, edges = np.searchsorted(alive, bounds), []
-            for arr, lo, a, b in zip(arrays, bounds, cuts, cuts[1:]):
-                edges.extend(arr[alive[a:b] - lo].tolist())
+        witness, edges = tuple(sampled.tolist()), h.edges_inside(sampled)
+        if edges:
             removed = greedy_hitting_set(edges)
             witness = tuple(v for v in witness if v not in removed)
         # larger set first, ties to the lexicographically smaller witness
@@ -834,7 +817,6 @@ def linear_solve(
     """
     t_start = time.perf_counter()
     params = params or PipelineParams()
-    gr = _greedy if _greedy is not None else greedy_solve(h)
     if check_preconditions:
         broken = None
         if h.has_two_cycle():
@@ -845,6 +827,7 @@ def linear_solve(
             # outside the pipeline's hypothesis: fall back on the structure-free
             # solvers but still return a verified set
             warnings.warn(f"{broken}; pipeline skipped", stacklevel=2)
+            gr = _greedy if _greedy is not None else greedy_solve(h)
             sp = spencer_solve(h, seed=_mix(seed, 4), trials=params.trials)
             pick = gr if gr.better_than(sp) else sp
             out_params = {"fallback": broken, "chosen": pick.method}
@@ -929,6 +912,7 @@ def linear_solve(
         candidates.append(sp)
         trace.append({"event": "small_T_spencer", "size": sp.size})
 
+    gr = _greedy if _greedy is not None else greedy_solve(h)
     candidates.append(gr)
     trace.append({"event": "greedy", "size": gr.size})
 

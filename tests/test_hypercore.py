@@ -117,6 +117,29 @@ class TestInduced:
         assert got == want
 
 
+class TestEdgesInside:
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force_filter(self, seed):
+        h = random_small_hypergraph(seed)
+        rng = np.random.default_rng(seed + 3)
+        # shuffled rows: the incidence ids must not assume sorted blocks
+        h = hi.Hypergraph._from_arrays(
+            h.n, {s: h.edge_array(s)[rng.permutation(h.edge_count(s))] for s in h.sizes}
+        )
+        vs = np.sort(rng.choice(h.n, size=int(rng.integers(0, h.n + 1)), replace=False))
+        got = sorted(tuple(e) for e in h.edges_inside(vs))
+        want = sorted(e for e in h.edges() if set(vs.tolist()).issuperset(e))
+        assert got == want
+
+    def test_edgeless_and_empty(self, fano):
+        assert hi.Hypergraph(4).edges_inside(np.arange(4)) == []
+        assert fano.edges_inside(np.array([], dtype=np.int64)) == []
+
+    def test_whole_vertex_set(self, fano):
+        assert sorted(map(tuple, fano.edges_inside(np.arange(fano.n)))) == fano.edge_tuples()
+
+
 class TestDisjointCopies:
     def test_single_copy_identity(self, fano):
         assert fano.disjoint_copies(1) == fano

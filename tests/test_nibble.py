@@ -440,6 +440,10 @@ class TestLinearSolve:
         monkeypatch.setattr(nibble, "greedy_solve", lambda g: calls.append(g) or real(g))
         rep = hi.best_of(h, seed=3, trials=20)
         assert rep.params["dispatch"]["graph_layer_ok"] and len(calls) == 1
+        # a call that fails on its parameters pays for no greedy run
+        with pytest.raises(ValueError):
+            hi.linear_solve(h, hi.PipelineParams(eps=0.2), seed=4)
+        assert len(calls) == 1
         hi.linear_solve(h, seed=4)
         assert len(calls) == 2
 
