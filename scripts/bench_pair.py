@@ -4,9 +4,10 @@
 
 Exports each commit with ``git archive`` into a temporary directory and runs
 ``perfbench/run.py`` there, so each side runs its own committed package and
-benchmark code. For every workload it runs ``--pairs`` pairs of (before,
-after) on the same seed with tracing off, alternating which side runs
-first; then one traced pair of ``mixed_best``.
+benchmark code. For every workload it runs ten pairs of (before, after) on
+the same seed with tracing off, alternating which side runs first, each run
+as long as ``run_seconds`` in BENCHMARK.json; then one traced pair of
+``mixed_best``.
 
 The file records every run's metrics, each side's median and quartiles per
 end-to-end metric, the number of pairs the after side won (ties count for
@@ -33,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("girth5_best", "mixed_best", "rainbow_sweep")
 TRACED = ("mixed_best",)  # where the deletion kernel and greedy sharing show
 FIRST_SEED = 1001  # seeds 1001.. were not used while the code was written
+PAIRS = 10
 
 
 def git(*args: str) -> str:
@@ -91,13 +93,11 @@ def main(argv=None) -> int:
     p.add_argument("--before", required=True, help="git revision of the parent")
     p.add_argument("--after", default="HEAD", help="git revision of the change")
     p.add_argument("--out", required=True, help="BENCH_<label>.json to write")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, help="run length; BENCHMARK.json's by default")
     args = p.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     shas = {"before": git("rev-parse", args.before), "after": git("rev-parse", args.after)}
     doc = {
         "command": "python3 perfbench/run.py --workload W --seed S --seconds "
@@ -109,7 +109,7 @@ def main(argv=None) -> int:
             "numpy": np.__version__,
             "platform": platform.platform(),
         },
-        "pairs": args.pairs,
+        "pairs": PAIRS,
         "workloads": {},
         "traced": {},
     }
@@ -121,7 +121,7 @@ def main(argv=None) -> int:
             export(sha, trees[side])
         for workload in WORKLOADS:
             pairs = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 seed = FIRST_SEED + i
                 order = ("before", "after") if i % 2 == 0 else ("after", "before")
                 pair = {"seed": seed, "first": order[0]}
