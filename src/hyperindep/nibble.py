@@ -746,6 +746,8 @@ def greedy_hitting_set(vertex_sets: Sequence[Iterable[int]]) -> set[int]:
             if not hit[idx]:
                 hit[idx] = True
                 remaining -= 1
+                if not remaining:
+                    break  # every set is hit: no count is read again
                 for u in vertex_sets[idx]:
                     if u not in chosen:
                         count[u] -= 1
