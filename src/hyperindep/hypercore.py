@@ -535,35 +535,36 @@ class Hypergraph:
 
         A wedge is a path x-v-y through a mid vertex v. Girth >= 5 is
         equivalent to: no wedge endpoint pair repeats, and no wedge endpoint
-        pair is itself an edge.
+        pair is itself an edge. The wedges are listed in a few whole arrays:
+        per-vertex temporaries would leave the heap fragmented and resident.
         """
         arr = self.edge_array(2)
         if len(arr) < 3:
             return True
         n = self.n
-        deg = np.bincount(arr.ravel(), minlength=n)
-        order = np.argsort(arr.ravel(), kind="stable")
-        nbr = arr[:, ::-1].ravel()[order]  # neighbour lists, CSR by vertex
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        keys: list[np.ndarray] = []
-        for v in range(n):
-            lo, hi = indptr[v], indptr[v + 1]
-            if hi - lo < 2:
-                continue
-            nb = np.sort(nbr[lo:hi])
-            i, j = np.triu_indices(len(nb), k=1)
-            keys.append(nb[i].astype(np.int64) * n + nb[j].astype(np.int64))
-        if not keys:
+        ends, partners = arr.ravel(), arr[:, ::-1].ravel()
+        # neighbour lists, CSR by vertex, each list ascending
+        nbr = partners[np.lexsort((partners, ends))].astype(np.int64)
+        deg = np.bincount(ends, minlength=n)
+        # wedge (i, j) pairs list entry i with each later entry j of its list
+        later = np.repeat(np.cumsum(deg), deg) - np.arange(len(nbr)) - 1
+        first = np.repeat(np.arange(len(nbr)), later)
+        if not len(first):
             return True
-        wedge_keys = np.concatenate(keys)
-        uniq, counts = np.unique(wedge_keys, return_counts=True)
-        if (counts > 1).any():
+        second = np.arange(len(first))
+        second -= np.repeat(np.cumsum(later) - later - np.arange(len(nbr)) - 1, later)
+        keys = nbr[first]
+        keys *= n
+        keys += nbr[second]
+        del first, second
+        keys.sort()
+        if (keys[1:] == keys[:-1]).any():
             return False  # two vertices with two common neighbours: a 4-cycle
         lo = np.minimum(arr[:, 0], arr[:, 1]).astype(np.int64)
         hi = np.maximum(arr[:, 0], arr[:, 1]).astype(np.int64)
         edge_keys = lo * n + hi
-        return not bool(np.isin(uniq, edge_keys, assume_unique=False).any())
+        at = np.minimum(np.searchsorted(keys, edge_keys), len(keys) - 1)
+        return not bool((keys[at] == edge_keys).any())
 
 
 def _match_distinct(slots: tuple[frozenset[int], ...]) -> list[int] | None:

@@ -253,6 +253,25 @@ class TestGraphLayer:
         h = hi.new_hypergraph(5, [(0, 1, 2), (1, 2, 3), (2, 3, 4)])
         assert h.graph_layer_ok()
 
+    def test_matching_has_no_wedges(self):
+        assert hi.new_hypergraph(8, [(0, 1), (2, 3), (4, 5), (6, 7)]).graph_layer_ok()
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_row_order_and_orientation_ignored(self, seed):
+        # _from_arrays keeps rows as given: flipped and shuffled rows must
+        # give the same answer as the canonical hypergraph
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 12))
+        pairs = {tuple(sorted(rng.choice(n, size=2, replace=False).tolist()))
+                 for _ in range(int(rng.integers(3, 3 * n)))}
+        canon = hi.Hypergraph(n, sorted(pairs))
+        rows = np.array(sorted(pairs), dtype=np.int64)
+        flip = rng.random(len(rows)) < 0.5
+        rows[flip] = rows[flip, ::-1]
+        raw = hi.Hypergraph._from_arrays(n, {2: rows[rng.permutation(len(rows))]})
+        assert raw.graph_layer_ok() == canon.graph_layer_ok()
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_agrees_with_census_on_graphs(self, seed):
