@@ -258,22 +258,6 @@ class TestGraphLayer:
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
-    def test_row_order_and_orientation_ignored(self, seed):
-        # _from_arrays keeps rows as given: flipped and shuffled rows must
-        # give the same answer as the canonical hypergraph
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(4, 12))
-        pairs = {tuple(sorted(rng.choice(n, size=2, replace=False).tolist()))
-                 for _ in range(int(rng.integers(3, 3 * n)))}
-        canon = hi.Hypergraph(n, sorted(pairs))
-        rows = np.array(sorted(pairs), dtype=np.int64)
-        flip = rng.random(len(rows)) < 0.5
-        rows[flip] = rows[flip, ::-1]
-        raw = hi.Hypergraph._from_arrays(n, {2: rows[rng.permutation(len(rows))]})
-        assert raw.graph_layer_ok() == canon.graph_layer_ok()
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=30, deadline=None)
     def test_agrees_with_census_on_graphs(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 12))
@@ -284,6 +268,12 @@ class TestGraphLayer:
         h = hi.Hypergraph(n, sorted(edges))
         census = h.cycle_census(4, include_all_four=True)
         assert h.graph_layer_ok() == (census.three_total == 0 and census.four_total == 0)
+        # _from_arrays keeps rows as given: flipped, shuffled rows agree
+        rows = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+        flip = rng.random(len(rows)) < 0.5
+        rows[flip] = rows[flip, ::-1]
+        raw = hi.Hypergraph._from_arrays(n, {2: rows[rng.permutation(len(rows))]})
+        assert raw.graph_layer_ok() == h.graph_layer_ok()
 
 
 class TestNhgFormat:
