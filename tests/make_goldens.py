@@ -1,5 +1,5 @@
-"""Seeded-output goldens: SHA-256 digests of solver witnesses, CLI reports,
-hitting sets, rainbow finder results and a study CSV.
+"""Seeded-output goldens: SHA-256 digests of generated instances, solver
+witnesses, CLI reports, hitting sets, rainbow finder results and a study CSV.
 
     PYTHONPATH=src python tests/make_goldens.py
 
@@ -32,6 +32,19 @@ INSTANCES = {
     "mixed": hi.GenSpec("mixed_linear", 2000, {2: 4.0, 3: 4.0}, seed=11),
     "uniform": hi.GenSpec("uniform_random", 300, {2: 2.0, 3: 3.0}, seed=3),
     "complete": hi.GenSpec("complete", 12, {2: 0.0, 3: 0.0}, seed=0),
+    # k=3 whose nibble sample at seed 0 overshoots the window, so the
+    # subsample's degree trim runs
+    "uniform1200": hi.GenSpec("uniform_random", 1200, {2: 3.0, 3: 6.0}, seed=2),
+}
+
+# one small instance of every generator model
+GEN_SPECS = {
+    "complete": hi.GenSpec("complete", 9, {2: 0.0, 3: 0.0}, seed=0),
+    "uniform_random": hi.GenSpec("uniform_random", 200, {2: 3.0, 3: 4.0}, seed=1),
+    "linear_random": hi.GenSpec("linear_random", 300, {2: 3.0, 3: 3.0}, seed=2),
+    "uncrowded_random": hi.GenSpec("uncrowded_random", 300, {2: 2.0, 3: 2.0}, seed=3),
+    "girth5_graph": hi.GenSpec("girth5_graph", 500, {2: 6.0}, seed=4),
+    "mixed_linear": hi.GenSpec("mixed_linear", 400, {2: 3.0, 3: 3.0}, seed=5),
 }
 
 
@@ -56,16 +69,29 @@ def _report(rep: nibble.SolveReport) -> dict:
     }
 
 
+def gen_case(model: str):
+    """``n`` plus every edge-size block's rows, as raw bytes."""
+
+    def run() -> str:
+        h = hi.generate(GEN_SPECS[model])
+        parts = [f"n={h.n}".encode()]
+        for s in h.sizes:
+            parts += [f"|{s}|".encode(), h.edge_array(s).tobytes()]
+        return digest(b"".join(parts))
+
+    return run
+
+
 def spencer_case(name: str, seed: int):
     return lambda: digest(_report(nibble.spencer_solve(instance(name), seed=seed)))
 
 
-def cli_solve_case(name: str, algo: str):
+def cli_solve_case(name: str, algo: str, seed: int = 7):
     def run() -> str:
         with tempfile.TemporaryDirectory() as tmp:
             nhg, out = os.path.join(tmp, "h.nhg"), os.path.join(tmp, "report.json")
             hi.save_nhg(instance(name), nhg)
-            argv = ["solve", "--algo", algo, "--in", nhg, "--seed", "7", "--out", out]
+            argv = ["solve", "--algo", algo, "--in", nhg, "--seed", str(seed), "--out", out]
             code = harness.cli_main(argv)
             return digest(Path(out).read_bytes() + f"exit={code}".encode())
 
@@ -124,12 +150,19 @@ def study_case(k: int, grid: str, n_mult: int):
 
 
 CASES = {
-    **{f"spencer/{name}/seed{s}": spencer_case(name, s) for name in INSTANCES for s in (0, 1)},
+    **{f"gen/{model}": gen_case(model) for model in GEN_SPECS},
+    **{
+        f"spencer/{name}/seed{s}": spencer_case(name, s)
+        for name in ("girth5", "mixed", "uniform", "complete")
+        for s in (0, 1)
+    },
     **{
         f"solve/{name}/{algo}": cli_solve_case(name, algo)
         for name in ("girth5", "mixed")
-        for algo in ("spencer", "pipeline", "best")
+        for algo in ("spencer", "greedy", "nibble", "pipeline", "best")
     },
+    "solve/uniform/pipeline": cli_solve_case("uniform", "pipeline"),
+    "solve/uniform1200/nibble-seed0": cli_solve_case("uniform1200", "nibble", seed=0),
     **{f"hitting_set/seed{s}": hitting_set_case(s) for s in (0, 1, 2)},
     "finder/poly/n96": finder_case(96, 12, "poly", 1, 2, p=0.4),
     "finder/poly/n512-plan": finder_case(512, 32, "poly", 2, 3),
