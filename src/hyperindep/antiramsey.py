@@ -31,6 +31,7 @@ from .errors import (
 from .hypercore import Hypergraph
 from .nibble import (
     PipelineParams,
+    _best,
     _mix,
     _rng,
     greedy_hitting_set,
@@ -154,7 +155,8 @@ def matching_coloring(
         bounds = {s: u for s in range(2, ell + 1)}
     out = Coloring(n=n, ell=max(ell, k), bounds=dict(bounds), classes=classes)
     violations = validate_coloring(out)
-    assert not violations, f"construction broke its own constraints: {violations[:3]}"
+    if violations:
+        raise InvariantError(f"construction broke its own constraints: {violations[:3]}")
     return out
 
 
@@ -383,19 +385,11 @@ def find_multicolored(
             cond[layer] = bool(t_pow <= bound * (1 + 1e-9))
         report["T"] = T
         report["cond_T_ok"] = cond
-        solved = linear_solve(
-            g2,
-            PipelineParams(T=T, trials=trials),
-            seed=_mix(seed, 21),
-            check_preconditions=False,
-        )
+        solved = linear_solve(g2, PipelineParams(T=T, trials=trials), seed=_mix(seed, 21))
         local = map2[list(solved.witness)] if solved.witness else []
         report["method"] = "linear-pipeline"
     else:
-        solved = spencer_solve(g, seed=_mix(seed, 22), trials=trials)
-        gr = greedy_solve(g)
-        if gr.better_than(solved):
-            solved = gr
+        solved = _best((spencer_solve(g, seed=_mix(seed, 22), trials=trials), greedy_solve(g)))
         local = list(solved.witness)
         report["method"] = solved.method
     chosen = tuple(sorted(int(mapping[v]) for v in local))

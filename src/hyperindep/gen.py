@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import InfeasibleError, OutOfRangeError, UnknownFixtureError
 from .hypercore import Hypergraph
+from .nibble import _rng
 
 __all__ = ["GenSpec", "generate", "fixture", "FIXTURE_NAMES", "MODELS"]
 
@@ -63,10 +64,6 @@ class GenSpec:
     @property
     def k(self) -> int:
         return max(self.targets, default=2)
-
-
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def _layer_target(n: int, size: int, t: float) -> int:
@@ -263,9 +260,6 @@ class _Girth5Builder:
                 # an ordinary rejection against the budget
                 continue
 
-    def edge_list(self) -> list[tuple[int, int]]:
-        return list(self.edges)
-
     def edge_rows(self) -> np.ndarray:
         if not self.edges:
             return np.empty((0, 2), dtype=np.int32)
@@ -322,7 +316,7 @@ def _gen_linear(spec: GenSpec, girth5_two_layer: bool) -> Hypergraph:
         if girth5_two_layer:
             builder = _Girth5Builder(n, forbidden_pairs=pair_used)
             builder.fill(target, rng)
-            edges.extend(builder.edge_list())
+            edges.extend(builder.edges)
         else:
             budget = REJECTION_BUDGET_FACTOR * max(target, 1)
             proposals = 0

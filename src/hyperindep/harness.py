@@ -106,16 +106,20 @@ def _seed_for(seed: int, rep: int, t: float) -> int:
     return (seed * 1_000_003 + rep * 8191 + int(t) * 131) % (2**63)
 
 
-def _run_algo(h: Hypergraph, algo: str, seed: int, cfg: RunConfig) -> nibble.SolveReport:
+def _run_algo(
+    h: Hypergraph, algo: str, seed: int, cfg: RunConfig, T: float | None = None
+) -> nibble.SolveReport:
+    """Run one named solver; ``T`` overrides the driving parameter of the
+    solvers that take one (``greedy`` and ``best`` ignore it)."""
     if algo == "spencer":
-        return nibble.spencer_solve(h, seed=seed, trials=cfg.trials)
+        return nibble.spencer_solve(h, T=T, seed=seed, trials=cfg.trials)
     if algo == "greedy":
         return nibble.greedy_solve(h)
     if algo == "nibble":
-        return nibble.uncrowded_solve(h, seed=seed, mode=cfg.mode)
+        return nibble.uncrowded_solve(h, T=T, seed=seed, mode=cfg.mode)
     if algo == "pipeline":
         return nibble.linear_solve(
-            h, nibble.PipelineParams(trials=cfg.trials, mode=cfg.mode), seed=seed
+            h, nibble.PipelineParams(T=T, trials=cfg.trials, mode=cfg.mode), seed=seed
         )
     if algo == "best":
         return nibble.best_of(h, seed=seed, trials=cfg.trials)
@@ -266,16 +270,7 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     h = load_nhg(args.input)
     cfg = RunConfig(trials=args.trials, mode=args.mode, timings=args.timings)
-    if args.algo == "spencer":
-        rep = nibble.spencer_solve(h, T=args.T, seed=args.seed, trials=args.trials)
-    elif args.algo == "nibble":
-        rep = nibble.uncrowded_solve(h, T=args.T, seed=args.seed, mode=args.mode)
-    elif args.algo == "pipeline":
-        rep = nibble.linear_solve(
-            h, nibble.PipelineParams(T=args.T, trials=args.trials, mode=args.mode), seed=args.seed
-        )
-    else:
-        rep = _run_algo(h, args.algo, args.seed, cfg)
+    rep = _run_algo(h, args.algo, args.seed, cfg, T=args.T)
     out = report_json(h, rep, args.mode, args.timings)
     if args.out:
         with open(args.out, "w", encoding="ascii", newline="\n") as fh:

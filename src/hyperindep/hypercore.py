@@ -47,12 +47,6 @@ class DegreeProfile:
     t_pow: dict[int, float]
     t: dict[int, float]
 
-    def total_degrees(self) -> np.ndarray:
-        out = np.zeros(self.n, dtype=np.int64)
-        for d in self.degrees.values():
-            out += d
-        return out
-
     @property
     def t_max(self) -> float:
         return max(self.t.values(), default=0.0)
@@ -285,10 +279,6 @@ class Hypergraph:
             self._incidence = (indptr, e[np.argsort(v, kind="stable")])
         return self._incidence
 
-    def incident_edge_ids(self, v: int) -> np.ndarray:
-        indptr, eids = self.incidence()
-        return eids[indptr[v] : indptr[v + 1]]
-
     def edges_inside(self, vs: np.ndarray) -> list[list[int]]:
         """Rows of the edges whose vertices all lie in ``vs`` (distinct ids).
 
@@ -373,20 +363,21 @@ class Hypergraph:
     # short cycles
     # ------------------------------------------------------------------
 
-    def _pair_buckets(self) -> dict[tuple[int, int], list[int]]:
-        """Map vertex pair -> global ids of edges covering it."""
-        buckets: dict[tuple[int, int], list[int]] = {}
-        for eid, e in enumerate(self.edge_tuples()):
-            for a, b in itertools.combinations(e, 2):
-                buckets.setdefault((a, b), []).append(eid)
-        return buckets
-
     def has_two_cycle(self) -> bool:
-        """Cheap linearity test: some vertex pair covered by two edges."""
-        for ids in self._pair_buckets().values():
-            if len(ids) > 1:
-                return True
-        return False
+        """Cheap linearity test: some vertex pair covered by two edges.
+
+        Every vertex pair of every edge becomes the int64 key lo*n + hi; the
+        edges are distinct, so a repeated key is a pair that two edges share.
+        The order of the vertices within a row is not assumed.
+        """
+        keys = [np.empty(0, dtype=np.int64)]
+        for s, arr in self._by_size.items():
+            for i, j in itertools.combinations(range(s), 2):
+                a, b = arr[:, i].astype(np.int64), arr[:, j].astype(np.int64)
+                keys.append(np.minimum(a, b) * self.n + np.maximum(a, b))
+        keys = np.concatenate(keys)
+        keys.sort()
+        return bool((keys[1:] == keys[:-1]).any())
 
     def cycle_census(
         self,

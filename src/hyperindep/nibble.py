@@ -12,8 +12,12 @@ Four mechanisms, composable through ``best_of``:
   layer: prune high degrees, subsample, destroy the few remaining short
   cycles by vertex deletion, then run the uncrowded machinery.
 
-Spencer's surviving edges, the pipeline's short cycles and the rainbow
-finder's 2-cycles are all deleted by one lazy-heap ``greedy_hitting_set``.
+Each solver decision has one implementation. One lazy-heap
+``greedy_hitting_set`` deletes Spencer's surviving edges, the pipeline's short
+cycles and the rainbow finder's 2-cycles; ``_prune_to_caps`` and
+``_trim_by_degree`` (highest degree out first) enforce every degree cap and
+size window; wherever candidates race, ``_best`` keeps the verified one of
+least ``_rank``: the larger set, then the smaller witness, then the earlier.
 
 Every returned witness is re-verified against the input hypergraph. All
 randomness is drawn from per-(seed, label) generators so identical calls give
@@ -74,14 +78,17 @@ class SolveReport:
     def size(self) -> int:
         return len(self.witness)
 
-    def better_than(self, other: "SolveReport | None") -> bool:
-        """Order-independent comparison: larger set, ties to the
-        lexicographically smaller witness."""
-        if other is None:
-            return True
-        if self.size != other.size:
-            return self.size > other.size
-        return self.witness < other.witness
+
+def _rank(witness: tuple[int, ...]) -> tuple:
+    """Winner key, smallest wins: the larger set, ties to the
+    lexicographically smaller witness."""
+    return (-len(witness), witness)
+
+
+def _best(candidates: Iterable[SolveReport]) -> SolveReport:
+    """The verified candidate of least :func:`_rank`; an exact tie keeps the
+    earlier candidate."""
+    return min((c for c in candidates if c.verified), key=lambda c: _rank(c.witness))
 
 
 def _finish(
@@ -135,17 +142,16 @@ def spencer_solve(
     T = _resolve_T(h, T)
     p = min(1.0, 1.0 / (2.0 * T))
     n = h.n
-    best = None
-    for trial in range(trials):
+
+    def trial_witness(trial: int) -> tuple[int, ...]:
         sampled = np.flatnonzero(_rng(seed, trial).random(n) < p)
         witness, edges = tuple(sampled.tolist()), h.edges_inside(sampled)
         if edges:
             removed = greedy_hitting_set(edges)
             witness = tuple(v for v in witness if v not in removed)
-        # larger set first, ties to the lexicographically smaller witness
-        if best is None or (-len(witness), witness) < best:
-            best = (-len(witness), witness)
-    witness = best[1] if best else ()
+        return witness
+
+    witness = min(map(trial_witness, range(trials)), key=_rank, default=())
     params = {"T": T, "p": p, "trials": trials, "target": math.ceil(n / (4 * T)) if T > 0 else 0}
     return _finish(h, "spencer", seed, params, witness, [], t_start)
 
@@ -231,8 +237,41 @@ def greedy_solve(h: Hypergraph) -> SolveReport:
 
 
 # ----------------------------------------------------------------------
-# degree pruning
+# degree pruning and trimming inside a vertex mask
 # ----------------------------------------------------------------------
+
+
+def _degrees_inside(h: Hypergraph, mask: np.ndarray, size: int) -> np.ndarray:
+    """Size-``size`` degrees counting only the edges that lie inside ``mask``."""
+    arr = h.edge_array(size)
+    return np.bincount(arr[mask[arr].all(axis=1)].ravel(), minlength=h.n)
+
+
+def _prune_to_caps(h: Hypergraph, mask: np.ndarray, caps: dict[int, float]) -> np.ndarray:
+    """Clear from ``mask``, in waves, every vertex whose degree inside the
+    mask exceeds the cap of its edge size, recomputing the degrees after each
+    wave until none violate. Sizes without a cap are not limited."""
+    while True:
+        viol = np.zeros(h.n, dtype=bool)
+        for s in h.sizes:
+            if s in caps:
+                viol |= _degrees_inside(h, mask, s) > caps[s]
+        viol &= mask
+        if not viol.any():
+            return mask
+        mask &= ~viol
+
+
+def _trim_by_degree(h: Hypergraph, mask: np.ndarray, keep: int) -> np.ndarray:
+    """Clear from ``mask`` all but ``keep`` of its vertices, removing the
+    highest total degree inside the mask first, ties to the lowest id."""
+    ids = np.flatnonzero(mask)
+    if len(ids) > keep:
+        deg = np.zeros(len(ids), dtype=np.int64)
+        for s in h.sizes:
+            deg += _degrees_inside(h, mask, s)[ids]
+        mask[ids[np.lexsort((ids, -deg))[: len(ids) - keep]]] = False
+    return mask
 
 
 def prune_high_degree(
@@ -243,23 +282,9 @@ def prune_high_degree(
 
     Returns ``(sub, mapping, removed)`` with ``mapping[new_id] = old_id``.
     """
-    mask = np.ones(h.n, dtype=bool)
-    arrays = [(s, h.edge_array(s)) for s in h.sizes]
-    while True:
-        viol = np.zeros(h.n, dtype=bool)
-        for s, arr in arrays:
-            cap = caps.get(s)
-            if cap is None or not len(arr):
-                continue
-            keep_rows = mask[arr].all(axis=1)
-            deg = np.bincount(arr[keep_rows].ravel(), minlength=h.n)
-            viol |= (deg > cap) & mask
-        if not viol.any():
-            break
-        mask &= ~viol
-    removed = np.flatnonzero(~mask)
+    mask = _prune_to_caps(h, np.ones(h.n, dtype=bool), caps)
     sub, mapping = h.induced(np.flatnonzero(mask))
-    return sub, mapping, removed
+    return sub, mapping, np.flatnonzero(~mask)
 
 
 # ----------------------------------------------------------------------
@@ -389,7 +414,8 @@ def subsample_prepare(
     attempts: int = 16,
 ) -> tuple[Hypergraph, np.ndarray, dict]:
     """Sample vertices with probability e^{-s}, prune to the start-round
-    degree caps, and trim into the size window [3/4 * N/e^s, N/e^s].
+    degree caps, and trim into the size window [3/4 * N/e^s, N/e^s] by
+    removing the highest residual degree first (ties to the lowest id).
 
     Retries with fresh randomness if the window's lower end fails; raises
     :class:`WindowUnreachableError` carrying the best attempt afterwards.
@@ -409,21 +435,16 @@ def subsample_prepare(
             rng = _rng(seed, 900, attempt)
             keep = np.flatnonzero(rng.random(n) < p)
         sub, mapping = h.induced(keep)
-        sub2, map2, removed = prune_high_degree(sub, caps)
-        mapping2 = mapping[map2]
-        if sub2.n > hi:
-            order = _degree_trim_order(sub2)
-            keep2 = np.sort(order[: hi])
-            sub3, map3 = sub2.induced(keep2)
-            mapping3 = mapping2[map3]
-        else:
-            sub3, mapping3 = sub2, mapping2
+        mask = _prune_to_caps(sub, np.ones(sub.n, dtype=bool), caps)
+        pruned = sub.n - int(mask.sum())
+        sub3, map3 = sub.induced(np.flatnonzero(_trim_by_degree(sub, mask, hi)))
+        mapping3 = mapping[map3]
         info = {
             "s": s,
             "p": p,
             "window": (lo, hi),
             "achieved_n": sub3.n,
-            "pruned": int(len(removed)),
+            "pruned": pruned,
             "attempt": attempt,
             "caps": caps,
         }
@@ -438,12 +459,6 @@ def subsample_prepare(
         best_attempt=(best[1], best[2], best[3]),
     )
     raise err
-
-
-def _degree_trim_order(h: Hypergraph) -> np.ndarray:
-    """Vertex ids ordered by (total degree desc, id asc) — removal priority."""
-    deg = h.total_degrees()
-    return np.lexsort((np.arange(h.n), -deg))
 
 
 # ----------------------------------------------------------------------
@@ -541,31 +556,9 @@ def nibble_step(
                     pick = vs_part[np.lexsort((vs_part, -total_deg[vs_part]))[0]]
                     vstar[pick] = False
 
-        # degree caps for round r+1, removing violators in waves
-        while True:
-            viol = np.zeros(n, dtype=bool)
-            for s_, arr in arrays:
-                rows = vstar[arr].all(axis=1)
-                if not rows.any():
-                    continue
-                deg = np.bincount(arr[rows].ravel(), minlength=n)
-                viol |= (deg > caps_next[s_]) & vstar
-            if not viol.any():
-                break
-            vstar &= ~viol
-
-        # trim to the window's upper edge by descending residual degree
+        # degree caps for round r+1, then the window's upper edge
+        vstar = _trim_by_degree(h, _prune_to_caps(h, vstar, caps_next), hi)
         count = int(vstar.sum())
-        if count > hi:
-            deg_in = np.zeros(n, dtype=np.int64)
-            for s_, arr in arrays:
-                rows = vstar[arr].all(axis=1)
-                if rows.any():
-                    deg_in += np.bincount(arr[rows].ravel(), minlength=n)
-            ids = np.flatnonzero(vstar)
-            order = ids[np.lexsort((ids, -deg_in[ids]))]
-            vstar[order[: count - hi]] = False
-            count = hi
 
         I_ids = np.flatnonzero(I_mask)
         checks = {
@@ -802,11 +795,14 @@ def linear_solve(
     h: Hypergraph,
     params: PipelineParams | None = None,
     seed: int = 0,
-    check_preconditions: bool = True,
     *,
     _greedy: SolveReport | None = None,
 ) -> SolveReport:
     """Pipeline for linear hypergraphs whose graph layer has girth >= 5.
+
+    Every call first checks both preconditions (no 2-cycle, no 3- or 4-cycle
+    in the graph layer); an input that fails one gets a warning and the best
+    of greedy and random deletion instead.
 
     Stages: (1) prune vertices over k*c*T^{i-1}(ln T)^{(k-i)/(k-1)}; (2) keep
     each vertex with probability T^{eps-1}; (3) census the sample and delete
@@ -819,21 +815,19 @@ def linear_solve(
     """
     t_start = time.perf_counter()
     params = params or PipelineParams()
-    if check_preconditions:
-        broken = None
-        if h.has_two_cycle():
-            broken = "input has a 2-cycle"
-        elif not h.graph_layer_ok():
-            broken = "graph layer has a 3- or 4-cycle"
-        if broken:
-            # outside the pipeline's hypothesis: fall back on the structure-free
-            # solvers but still return a verified set
-            warnings.warn(f"{broken}; pipeline skipped", stacklevel=2)
-            gr = _greedy if _greedy is not None else greedy_solve(h)
-            sp = spencer_solve(h, seed=_mix(seed, 4), trials=params.trials)
-            pick = gr if gr.better_than(sp) else sp
-            out_params = {"fallback": broken, "chosen": pick.method}
-            return _finish(h, "pipeline", seed, out_params, pick.witness, [], t_start)
+    broken = None
+    if h.has_two_cycle():
+        broken = "input has a 2-cycle"
+    elif not h.graph_layer_ok():
+        broken = "graph layer has a 3- or 4-cycle"
+    if broken:
+        # outside the pipeline's hypothesis: fall back on the structure-free
+        # solvers but still return a verified set
+        warnings.warn(f"{broken}; pipeline skipped", stacklevel=2)
+        gr = _greedy if _greedy is not None else greedy_solve(h)
+        pick = _best((spencer_solve(h, seed=_mix(seed, 4), trials=params.trials), gr))
+        out_params = {"fallback": broken, "chosen": pick.method}
+        return _finish(h, "pipeline", seed, out_params, pick.witness, [], t_start)
     profile = h.degree_profile()
     T = max(params.T if params.T is not None else profile.t_max, 1.5)
     k = h.k
@@ -918,10 +912,7 @@ def linear_solve(
     candidates.append(gr)
     trace.append({"event": "greedy", "size": gr.size})
 
-    best = None
-    for cand in candidates:
-        if cand.verified and cand.better_than(best):
-            best = cand
+    best = _best(candidates)
     params_out = {
         "T": T,
         "eps": eps,
@@ -963,19 +954,10 @@ def best_of(h: Hypergraph, seed: int = 0, trials: int = 200) -> SolveReport:
         candidates.append(uncrowded_solve(h, seed=_mix(seed, 11)))
     elif linear and layer_ok:
         candidates.append(
-            linear_solve(
-                h,
-                PipelineParams(trials=trials),
-                seed=_mix(seed, 12),
-                check_preconditions=False,
-                _greedy=gr,
-            )
+            linear_solve(h, PipelineParams(trials=trials), seed=_mix(seed, 12), _greedy=gr)
         )
     candidates.append(spencer_solve(h, seed=_mix(seed, 13), trials=trials))
-    best = None
-    for cand in candidates:
-        if cand.verified and cand.better_than(best):
-            best = cand
+    best = _best(candidates)
     params = {
         "dispatch": {"linear": linear, "uncrowded": uncrowded, "graph_layer_ok": layer_ok},
         "chosen": best.method,

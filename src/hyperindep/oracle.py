@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InvariantError
 from .hypercore import CycleWitness, Hypergraph
 
 __all__ = ["ExactResult", "exact_alpha", "enumerate_cycles_exhaustive"]
@@ -128,7 +128,8 @@ def exact_alpha(h: Hypergraph, node_budget: int = 5_000_000) -> ExactResult:
 
     search(full, 0)
     witness = tuple(_iter_bits(best_mask))
-    assert h.is_independent(witness)
+    if not h.is_independent(witness):
+        raise InvariantError("branch and bound returned a dependent witness")
     return ExactResult(best_size, witness, nodes, not budget_hit)
 
 

@@ -32,6 +32,12 @@ class TestMatchingColoring:
             c = small_random_coloring(64, 8, seed)
             assert hi.validate_coloring(c) == []
 
+    def test_broken_construction_raises(self, monkeypatch):
+        broken = [{"rule": "a", "class": 0, "detail": "repeated vertex"}]
+        monkeypatch.setattr(antiramsey, "validate_coloring", lambda c: broken)
+        with pytest.raises(InvariantError, match="broke its own constraints"):
+            small_random_coloring(64, 8, seed=0)
+
     def test_class_sizes_bounded(self):
         c = hi.matching_coloring(64, hi.MatchingColoringParams(k=2, u=8, seed=2))
         for cls in c.classes:

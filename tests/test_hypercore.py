@@ -233,6 +233,14 @@ class TestCycleCensus:
         )
         assert (h.cycle_census(2).two_cycles == 0) == pairwise
         assert h.has_two_cycle() == (not pairwise)
+        # _from_arrays keeps rows as given: permuted within, shuffled rows agree
+        rng = np.random.default_rng(seed)
+        raw = hi.Hypergraph._from_arrays(
+            h.n,
+            {s: rng.permuted(h.edge_array(s), axis=1)[rng.permutation(h.edge_count(s))]
+             for s in h.sizes},
+        )
+        assert raw.has_two_cycle() == (not pairwise)
 
 
 class TestGraphLayer:

@@ -292,6 +292,20 @@ class TestSubsamplePrepare:
         for i in sub.sizes:
             assert int(sub.degrees(i).max(initial=0)) <= info["caps"][i] + 1e-9
 
+    def test_trim_drops_the_highest_residual_degrees(self):
+        h = hi.generate(hi.GenSpec("uniform_random", 3000, {2: 3.0, 3: 6.0}, seed=1))
+        T = h.degree_profile().t_max
+        sched = NibbleSchedule.practical(3, T)
+        sub, mapping, info = hi.subsample_prepare(h, T, seed=1, schedule=sched)
+        # rebuild the attempt's pruned sample, which the trim then cut to size
+        sample = np.flatnonzero(nibble._rng(1, 900, info["attempt"]).random(h.n) < info["p"])
+        pre, pre_map = h.induced(sample)
+        pruned, pruned_map, _ = hi.prune_high_degree(pre, info["caps"])
+        kept = np.isin(pre_map[pruned_map], mapping)
+        assert sub.n == info["window"][1] < pruned.n == len(kept)
+        deg = pruned.total_degrees()
+        assert deg[~kept].min() >= deg[kept].max()
+
     def test_window_unreachable_reports_best(self):
         h = girth5(300, 4.0, seed=6)
         sched = NibbleSchedule.practical(2, 4.0, cap_slack=0.01)
@@ -381,11 +395,40 @@ class TestUncrowdedSolve:
         assert a.witness == b.witness
 
 
+class TestBest:
+    @staticmethod
+    def report(witness, verified=True):
+        return nibble.SolveReport("m", 0, {}, tuple(witness), verified)
+
+    def test_larger_set_wins(self):
+        small, large = self.report([0, 1]), self.report([5, 6, 7])
+        assert nibble._best([small, large]) is large
+
+    def test_tie_goes_to_the_smaller_witness(self):
+        low, high = self.report([0, 9]), self.report([1, 2])
+        assert nibble._best([high, low]) is low
+
+    def test_exact_tie_keeps_the_earlier(self):
+        first, second = self.report([3, 4]), self.report([3, 4])
+        assert nibble._best([first, second]) is first
+
+    def test_unverified_skipped(self):
+        fake, real = self.report([0, 1, 2], verified=False), self.report([0])
+        assert nibble._best([fake, real]) is real
+
+
 class TestLinearSolve:
     def test_k4_fallback_still_verified(self):
         with pytest.warns(UserWarning):
             rep = hi.linear_solve(hi.fixture("k4"), hi.PipelineParams(T=3.0), seed=1)
         assert rep.size >= 1 and rep.verified
+
+    def test_two_cycle_falls_back(self):
+        h = hi.new_hypergraph(6, [(0, 1, 2), (1, 2, 3), (3, 4), (4, 5)])
+        with pytest.warns(UserWarning, match="2-cycle"):
+            rep = hi.linear_solve(h, seed=1)
+        assert rep.params["fallback"] == "input has a 2-cycle"
+        assert rep.verified and rep.size == hi.greedy_solve(h).size
 
     def test_edgeless(self):
         rep = hi.linear_solve(hi.new_hypergraph(25, []), seed=2)

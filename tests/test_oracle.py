@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperindep as hi
-from hyperindep.errors import BudgetExceededError
+from hyperindep.errors import BudgetExceededError, InvariantError
 
 from conftest import brute_force_alpha, random_small_hypergraph
 
@@ -32,6 +32,11 @@ class TestExactAlpha:
         res = hi.exact_alpha(hi.new_hypergraph(6, []))
         assert res.alpha == 6
         assert res.witness == tuple(range(6))
+
+    def test_dependent_witness_raises(self, monkeypatch, fano):
+        monkeypatch.setattr(hi.Hypergraph, "is_independent", lambda self, vs: False)
+        with pytest.raises(InvariantError, match="dependent witness"):
+            hi.exact_alpha(fano)
 
     def test_budget_flagged(self):
         h = random_small_hypergraph(123, n_max=12)
