@@ -1,11 +1,10 @@
 """Source lines of code of the ``hyperindep`` package, per module and in total.
 
-    python3 scripts/sloc.py [DIR]
+    python3 scripts/sloc.py
 
 A line counts when it holds a token other than a comment: code, and every
 line of a string token, docstrings included. Blank lines, comment-only lines
 and the line breaks and indentation tokens Python adds count for nothing.
-DIR defaults to ``src/hyperindep``.
 """
 
 from __future__ import annotations
@@ -36,8 +35,8 @@ def sloc(path: Path) -> int:
     return len(lines)
 
 
-def main(argv: list[str]) -> int:
-    top = Path(argv[1]) if len(argv) > 1 else ROOT / "src" / "hyperindep"
+def main() -> int:
+    top = ROOT / "src" / "hyperindep"
     total = 0
     for path in sorted(top.rglob("*.py")):
         count = sloc(path)
@@ -48,4 +47,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())

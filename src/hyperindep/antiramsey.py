@@ -28,12 +28,11 @@ from .errors import (
     OutOfRangeError,
     RegimeViolationWarning,
 )
-from .hypercore import Hypergraph
+from .hypercore import Hypergraph, _rng
 from .nibble import (
     PipelineParams,
     _best,
     _mix,
-    _rng,
     greedy_hitting_set,
     greedy_solve,
     linear_solve,

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfeasibleError, OutOfRangeError, UnknownFixtureError
-from .hypercore import Hypergraph
-from .nibble import _rng
+from .hypercore import Hypergraph, _rng
 
 __all__ = ["GenSpec", "generate", "fixture", "FIXTURE_NAMES", "MODELS"]
 

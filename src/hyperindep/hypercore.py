@@ -107,6 +107,13 @@ class CycleCensus:
         return self.two_cycles == 0 and self.three_total == 0 and self.four_total == 0
 
 
+def _rng(seed: int, *key) -> np.random.Generator:
+    """Generator for one (seed, label) pair, independent of every other label."""
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(int(seed), spawn_key=tuple(int(x) for x in key)))
+    )
+
+
 def _canonical_edge(edge: Iterable[int], n: int) -> tuple[int, ...]:
     vs = sorted(set(int(v) for v in edge))
     if len(vs) < 2:

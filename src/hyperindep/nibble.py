@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvariantError, StepFailedError, WindowUnreachableError
-from .hypercore import Hypergraph
+from .hypercore import Hypergraph, _rng
 
 __all__ = [
     "SolveReport",
@@ -54,12 +54,6 @@ __all__ = [
 ]
 
 _E = math.e
-
-
-def _rng(seed: int, *key) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(int(seed), spawn_key=tuple(int(x) for x in key)))
-    )
 
 
 @dataclass
