@@ -23,6 +23,7 @@ import numpy as np
 
 import hyperindep as hi
 from hyperindep import antiramsey, harness, nibble
+from hyperindep.errors import InfeasibleError
 
 GOLDENS_PATH = Path(__file__).resolve().parent / "goldens.json"
 
@@ -37,7 +38,8 @@ INSTANCES = {
     "uniform1200": hi.GenSpec("uniform_random", 1200, {2: 3.0, 3: 6.0}, seed=2),
 }
 
-# one small instance of every generator model
+# one small instance of every generator model, plus layer mixes that reach
+# more of each model's code: three edge sizes, and the 2-layer alone
 GEN_SPECS = {
     "complete": hi.GenSpec("complete", 9, {2: 0.0, 3: 0.0}, seed=0),
     "uniform_random": hi.GenSpec("uniform_random", 200, {2: 3.0, 3: 4.0}, seed=1),
@@ -45,6 +47,18 @@ GEN_SPECS = {
     "uncrowded_random": hi.GenSpec("uncrowded_random", 300, {2: 2.0, 3: 2.0}, seed=3),
     "girth5_graph": hi.GenSpec("girth5_graph", 500, {2: 6.0}, seed=4),
     "mixed_linear": hi.GenSpec("mixed_linear", 400, {2: 3.0, 3: 3.0}, seed=5),
+    "uncrowded_random/sizes234": hi.GenSpec(
+        "uncrowded_random", 400, {2: 1.5, 3: 1.5, 4: 1.2}, seed=6
+    ),
+    "linear_random/size2": hi.GenSpec("linear_random", 300, {2: 4.0}, seed=7),
+    "mixed_linear/sizes234": hi.GenSpec("mixed_linear", 400, {2: 2.0, 3: 2.0, 4: 1.5}, seed=8),
+}
+
+# specs whose generation runs out of rejection budget; the case pins the
+# ``achieved`` dict of the InfeasibleError
+STALLED_SPECS = {
+    # the 3-layer fills, then the 2-layer stalls
+    "uncrowded_random/stalled": hi.GenSpec("uncrowded_random", 60, {2: 2.5, 3: 1.5}, seed=1),
 }
 
 
@@ -69,15 +83,26 @@ def _report(rep: nibble.SolveReport) -> dict:
     }
 
 
-def gen_case(model: str):
+def gen_case(name: str):
     """``n`` plus every edge-size block's rows, as raw bytes."""
 
     def run() -> str:
-        h = hi.generate(GEN_SPECS[model])
+        h = hi.generate(GEN_SPECS[name])
         parts = [f"n={h.n}".encode()]
         for s in h.sizes:
             parts += [f"|{s}|".encode(), h.edge_array(s).tobytes()]
         return digest(b"".join(parts))
+
+    return run
+
+
+def stalled_case(name: str):
+    def run() -> str:
+        try:
+            hi.generate(STALLED_SPECS[name])
+        except InfeasibleError as exc:
+            return digest(exc.achieved)
+        raise AssertionError(f"{name} did not stall")
 
     return run
 
@@ -150,7 +175,8 @@ def study_case(k: int, grid: str, n_mult: int):
 
 
 CASES = {
-    **{f"gen/{model}": gen_case(model) for model in GEN_SPECS},
+    **{f"gen/{name}": gen_case(name) for name in GEN_SPECS},
+    **{f"gen/{name}": stalled_case(name) for name in STALLED_SPECS},
     **{
         f"spencer/{name}/seed{s}": spencer_case(name, s)
         for name in ("girth5", "mixed", "uniform", "complete")
