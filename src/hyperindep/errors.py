@@ -39,7 +39,8 @@ class InfeasibleError(HyperindepError):
 
 
 class BudgetExceededError(HyperindepError):
-    """An exhaustive computation hit its node/tuple budget."""
+    """A computation hit its node/tuple budget, or would need more memory
+    than its limit allows."""
 
 
 class InvariantError(HyperindepError):

@@ -1,20 +1,30 @@
 """Seeded instance generators and named fixtures.
 
-All models are rejection samplers: structural constraints (pair-disjointness
-of edges, girth of the 2-layer, absence of short cycles) are enforced at
+All models are rejection samplers: structural constraints are enforced at
 insertion time, so the outputs satisfy them by construction. Generation is
-deterministic given the seed.
+deterministic given the seed. The linear, mixed-linear and uncrowded models
+share one proposal loop, each with its own acceptance test.
+
+Girth-5 graphs and uncrowded hypergraphs share one builder over the *shadow
+graph*, where every edge is a clique on its vertices. A row is accepted iff
+each pair of its vertices is at shadow distance >= 4, which rejects exactly
+the rows that would close a 2-, 3- or 4-cycle. Any new cycle passes through
+the row: two of its link vertices lie in the row, and the rest of the cycle
+is a shadow path of length <= 3 between them. Conversely, a shortest such
+path uses distinct edges and vertices (a repeated edge gives a shortcut), so
+with the row it closes a 2-, 3- or 4-cycle.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleError, OutOfRangeError, UnknownFixtureError
+from .errors import BudgetExceededError, InfeasibleError, OutOfRangeError, UnknownFixtureError
 from .hypercore import Hypergraph, _rng
 
 __all__ = ["GenSpec", "generate", "fixture", "FIXTURE_NAMES", "MODELS"]
@@ -60,10 +70,6 @@ class GenSpec:
         if self.n < 0:
             raise OutOfRangeError("n must be nonnegative")
 
-    @property
-    def k(self) -> int:
-        return max(self.targets, default=2)
-
 
 def _layer_target(n: int, size: int, t: float) -> int:
     return int(round(n * t ** (size - 1) / size))
@@ -79,19 +85,19 @@ def generate(spec: GenSpec) -> Hypergraph:
     if spec.model == "uniform_random":
         return _gen_uniform(spec)
     if spec.model == "linear_random":
-        return _gen_linear(spec, girth5_two_layer=False)
+        edges = _fill_layers(spec, spec.targets, _pair_cover(spec.n, set()))
+        return Hypergraph(spec.n, edges)
     if spec.model == "mixed_linear":
-        return _gen_linear(spec, girth5_two_layer=True)
+        return _gen_mixed_linear(spec)
+    if spec.model == "uncrowded_random":
+        builder = _Girth5Builder(spec.n)
+        return Hypergraph(spec.n, _fill_layers(spec, spec.targets, builder.add_row))
     if spec.model == "girth5_graph":
         if set(spec.targets) != {2}:
             raise ValueError("girth5_graph takes a single size-2 target")
         builder = _Girth5Builder(spec.n)
-        rng = _rng(spec.seed, 2)
-        m = _layer_target(spec.n, 2, spec.targets[2])
-        builder.fill(m, rng)
+        builder.fill(_layer_target(spec.n, 2, spec.targets[2]), _rng(spec.seed, 2))
         return Hypergraph._from_arrays(spec.n, {2: builder.edge_rows()})
-    if spec.model == "uncrowded_random":
-        return _gen_uncrowded(spec)
     raise AssertionError(spec.model)
 
 
@@ -138,22 +144,30 @@ def _gen_uniform(spec: GenSpec) -> Hypergraph:
 
 
 class _Girth5Builder:
-    """Incremental girth-5 graph over packed-bit adjacency and 2-ball rows.
+    """Incremental shadow graph over packed-bit adjacency and 2-ball rows.
 
     dist(u, v) >= 4 iff the closed 1-ball of u misses the closed 2-ball of v,
-    one AND of two uint64 rows. Uniform proposals are filtered in batches;
-    when the acceptance rate collapses (dense late stage) the second endpoint
-    is drawn directly from outside the 3-ball of the first, which cannot be
-    rejected by the distance test.
+    one AND of two uint64 rows. :meth:`add_row` applies the module's shadow
+    rule to one row. :meth:`fill` grows a girth-5 graph: uniform proposals are
+    filtered in batches; when the acceptance rate collapses (dense late stage)
+    the second endpoint is drawn from outside the 3-ball of the first. The
+    ball tables take n**2 / 4 bytes; past ``MEMORY_LIMIT`` none is allocated.
     """
 
     BATCH = 1024
     COMPLEMENT_THRESHOLD = 0.05  # uniform-phase acceptance rate cutoff
     BURST = 8  # complement-mode edges drawn per 3-ball computation
+    MEMORY_LIMIT = 2 << 30  # bytes of ball1 plus ball2
 
     def __init__(self, n: int, forbidden_pairs: set[int] | None = None):
         self.n = n
         self.words = (n + 63) // 64 or 1
+        need = 2 * 8 * n * self.words
+        if need > self.MEMORY_LIMIT:
+            raise BudgetExceededError(
+                f"n={n} needs {need / 2**30:.2f} GiB of ball tables, "
+                f"above the {self.MEMORY_LIMIT / 2**30:.0f} GiB limit"
+            )
         ids = np.arange(n)
         words_col = ids >> 6
         bits_col = np.uint64(1) << (ids & 63).astype(np.uint64)
@@ -200,6 +214,16 @@ class _Girth5Builder:
         self.deg[v] = dv + 1
         self.edges.append((u, v) if u < v else (v, u))
         self.forbidden.add(self.pair_key(u, v))
+
+    def add_row(self, row: list[int]) -> bool:
+        """Insert the shadow clique of ``row`` iff every pair of it is at
+        shadow distance >= 4; report whether it did."""
+        pairs = list(itertools.combinations(row, 2))
+        if not all(self.can_add(a, b) for a, b in pairs):
+            return False
+        for a, b in pairs:
+            self.add(a, b)
+        return True
 
     def _complement_of_ball3(self, u: int) -> np.ndarray:
         ball3 = self.ball2[u].copy()
@@ -248,16 +272,11 @@ class _Girth5Builder:
             if not len(far):
                 self.saturated.add(u)
                 continue
-            placed_any = False
+            # the whole burst counts as one proposal against the budget
             for _ in range(min(self.BURST, target - len(self.edges))):
                 v = int(far[rng.integers(0, len(far))])
                 if self.can_add(u, v):
                     self.add(u, v)
-                    placed_any = True
-            if not placed_any:
-                # everything sampled was forbidden or newly blocked; treat as
-                # an ordinary rejection against the budget
-                continue
 
     def edge_rows(self) -> np.ndarray:
         if not self.edges:
@@ -267,178 +286,61 @@ class _Girth5Builder:
 
 
 # ----------------------------------------------------------------------
-# linear / mixed-linear models
+# linear / mixed-linear / uncrowded models
 # ----------------------------------------------------------------------
 
 
-def _gen_linear(spec: GenSpec, girth5_two_layer: bool) -> Hypergraph:
-    """Sequential insertion, rejecting any edge sharing >= 2 vertices with an
-    existing one (every vertex pair is covered at most once overall).
-
-    With ``girth5_two_layer`` the 2-element layer additionally rejects edges
-    closing a path of length <= 3 among 2-edges.
-    """
+def _fill_layers(
+    spec: GenSpec, sizes: Iterable[int], accept: Callable[[list[int]], bool]
+) -> list[tuple[int, ...]]:
+    """Uniform proposals per layer, largest size first, until each layer
+    reaches its target. ``accept`` tests a sorted row of distinct vertices
+    and, when it passes, records the row in the model's state."""
     n = spec.n
-    pair_used: set[int] = set()
     edges: list[tuple[int, ...]] = []
-
-    def pkey(a: int, b: int) -> int:
-        return a * n + b if a < b else b * n + a
-
-    for size in sorted((s for s in spec.targets if s >= 3), reverse=True):
+    for size in sorted(sizes, reverse=True):
         rng = _rng(spec.seed, size)
         target = _layer_target(n, size, spec.targets[size])
         budget = REJECTION_BUDGET_FACTOR * max(target, 1)
         proposals = 0
         placed = 0
-        while placed < target:
-            if proposals >= budget:
-                raise InfeasibleError(
-                    f"linear layer of size {size} stalled at {placed}/{target}",
-                    achieved={"size": size, "edges": placed, "target": target},
-                )
+        while placed < target and proposals < budget:
             proposals += 1
-            row = rng.integers(0, n, size=size)
-            uniq = sorted(set(int(x) for x in row))
-            if len(uniq) != size:
-                continue
-            keys = [pkey(a, b) for a, b in itertools.combinations(uniq, 2)]
-            if any(k in pair_used for k in keys):
-                continue
-            pair_used.update(keys)
-            edges.append(tuple(uniq))
-            placed += 1
-
-    if 2 in spec.targets:
-        rng = _rng(spec.seed, 2)
-        target = _layer_target(n, 2, spec.targets[2])
-        if girth5_two_layer:
-            builder = _Girth5Builder(n, forbidden_pairs=pair_used)
-            builder.fill(target, rng)
-            edges.extend(builder.edges)
-        else:
-            budget = REJECTION_BUDGET_FACTOR * max(target, 1)
-            proposals = 0
-            placed = 0
-            while placed < target:
-                if proposals >= budget:
-                    raise InfeasibleError(
-                        f"2-layer stalled at {placed}/{target}",
-                        achieved={"size": 2, "edges": placed, "target": target},
-                    )
-                proposals += 1
-                u, v = (int(x) for x in rng.integers(0, n, size=2))
-                if u == v:
-                    continue
-                key = pkey(u, v)
-                if key in pair_used:
-                    continue
-                pair_used.add(key)
-                edges.append((u, v) if u < v else (v, u))
+            row = sorted(set(rng.integers(0, n, size=size).tolist()))
+            if len(row) == size and accept(row):
+                edges.append(tuple(row))
                 placed += 1
-    return Hypergraph(n, edges)
+        if placed < target:
+            raise InfeasibleError(
+                f"{spec.model} layer of size {size} stalled at {placed}/{target}",
+                achieved={"size": size, "edges": placed, "target": target},
+            )
+    return edges
 
 
-# ----------------------------------------------------------------------
-# uncrowded model
-# ----------------------------------------------------------------------
+def _pair_cover(n: int, used: set[int]) -> Callable[[list[int]], bool]:
+    """Linear acceptance: no vertex pair of the row is in ``used`` yet."""
 
-
-class _UncrowdedBuilder:
-    """Linear insertion plus rejection of edges completing a 3- or 4-cycle.
-
-    The current hypergraph is always linear and uncrowded, so any new short
-    cycle must pass through the candidate edge; the check only explores the
-    candidate's neighbourhood. Pairwise intersections of existing edges are
-    single vertices, which makes link vertices unique.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.pair_used: set[int] = set()
-        self.edges: list[tuple[int, ...]] = []
-        self.edge_sets: list[set[int]] = []
-        self.incident: list[list[int]] = [[] for _ in range(n)]
-        self.edge_adj: list[dict[int, int]] = []  # eid -> {other eid: link vertex}
-
-    def pkey(self, a: int, b: int) -> int:
-        return a * self.n + b if a < b else b * self.n + a
-
-    def can_add(self, uniq: list[int]) -> bool:
-        if any(
-            self.pkey(a, b) in self.pair_used
-            for a, b in itertools.combinations(uniq, 2)
-        ):
+    def accept(row: list[int]) -> bool:
+        keys = [a * n + b for a, b in itertools.combinations(row, 2)]
+        if any(k in used for k in keys):
             return False
-        # edges touching the candidate, with their unique link vertex
-        nbrs: dict[int, int] = {}
-        for v in uniq:
-            for eid in self.incident[v]:
-                if eid in nbrs:
-                    return False  # would share two vertices
-                nbrs[eid] = v
-        ids = sorted(nbrs)
-        for idx, a in enumerate(ids):
-            link_a = nbrs[a]
-            for b in ids[idx + 1 :]:
-                link_b = nbrs[b]
-                shared = self.edge_adj[a].get(b)
-                if shared is not None:
-                    # candidate-a-b triangle: distinct link vertices?
-                    if len({link_a, link_b, shared}) == 3:
-                        return False
-                if link_a == link_b:
-                    continue
-                # candidate-a-c-b path closing a 4-cycle
-                for c, w1 in self.edge_adj[a].items():
-                    if c == b:
-                        continue
-                    w2 = self.edge_adj[b].get(c)
-                    if w2 is None:
-                        continue
-                    if len({link_a, w1, w2, link_b}) == 4:
-                        return False
+        used.update(keys)
         return True
 
-    def add(self, uniq: list[int]) -> None:
-        eid = len(self.edges)
-        adj: dict[int, int] = {}
-        for v in uniq:
-            for other in self.incident[v]:
-                adj[other] = v
-                self.edge_adj[other][eid] = v
-            self.incident[v].append(eid)
-        for a, b in itertools.combinations(uniq, 2):
-            self.pair_used.add(self.pkey(a, b))
-        self.edges.append(tuple(uniq))
-        self.edge_sets.append(set(uniq))
-        self.edge_adj.append(adj)
+    return accept
 
 
-def _gen_uncrowded(spec: GenSpec) -> Hypergraph:
-    builder = _UncrowdedBuilder(spec.n)
-    n = spec.n
-    for size in sorted(spec.targets, reverse=True):
-        rng = _rng(spec.seed, size)
-        target = _layer_target(n, size, spec.targets[size])
-        budget = REJECTION_BUDGET_FACTOR * max(target, 1)
-        proposals = 0
-        placed = 0
-        while placed < target:
-            if proposals >= budget:
-                raise InfeasibleError(
-                    f"uncrowded layer of size {size} stalled at {placed}/{target}",
-                    achieved={"size": size, "edges": placed, "target": target},
-                )
-            proposals += 1
-            row = rng.integers(0, n, size=size)
-            uniq = sorted(set(int(x) for x in row))
-            if len(uniq) != size:
-                continue
-            if builder.can_add(uniq):
-                builder.add(uniq)
-                placed += 1
-    return Hypergraph(n, builder.edges)
+def _gen_mixed_linear(spec: GenSpec) -> Hypergraph:
+    """Linear layers of size >= 3, then a girth-5 2-layer that also avoids
+    every pair the larger edges cover."""
+    used: set[int] = set()
+    edges = _fill_layers(spec, [s for s in spec.targets if s >= 3], _pair_cover(spec.n, used))
+    if 2 in spec.targets:
+        builder = _Girth5Builder(spec.n, forbidden_pairs=used)
+        builder.fill(_layer_target(spec.n, 2, spec.targets[2]), _rng(spec.seed, 2))
+        edges.extend(builder.edges)
+    return Hypergraph(spec.n, edges)
 
 
 # ----------------------------------------------------------------------

@@ -110,7 +110,9 @@ def _run_algo(
     h: Hypergraph, algo: str, seed: int, cfg: RunConfig, T: float | None = None
 ) -> nibble.SolveReport:
     """Run one named solver; ``T`` overrides the driving parameter of the
-    solvers that take one (``greedy`` and ``best`` ignore it)."""
+    solvers that take one, and raises ``ValueError`` for greedy and best."""
+    if T is not None and algo in ("greedy", "best"):
+        raise ValueError(f"--algo {algo} takes no T")
     if algo == "spencer":
         return nibble.spencer_solve(h, T=T, seed=seed, trials=cfg.trials)
     if algo == "greedy":

@@ -197,8 +197,7 @@ class Hypergraph:
     def edges(self, size: int | None = None) -> Iterator[tuple[int, ...]]:
         for s, arr in self._by_size.items():
             if size is None or s == size:
-                for row in arr:
-                    yield tuple(int(v) for v in row)
+                yield from map(tuple, arr.tolist())
 
     def edge_tuples(self) -> list[tuple[int, ...]]:
         """All edges in canonical (size, lexicographic) order."""

@@ -1,9 +1,12 @@
 import itertools
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import hyperindep as hi
-from hyperindep.errors import InfeasibleError, UnknownFixtureError
+from hyperindep.errors import BudgetExceededError, InfeasibleError, UnknownFixtureError
+from hyperindep.gen import _Girth5Builder
 
 
 class TestComplete:
@@ -52,6 +55,51 @@ class TestUncrowdedRandom:
         h = hi.generate(hi.GenSpec("uncrowded_random", 40, {2: 1.2, 3: 1.2}, seed=9))
         for j in (2, 3, 4):
             assert len(hi.enumerate_cycles_exhaustive(h, j)) == 0
+
+
+class TestShadowRule:
+    """A row passes the builder's test (every pair of it at shadow distance
+    >= 4) iff adding it to an uncrowded hypergraph keeps it uncrowded; the
+    cycle census is the independent reference."""
+
+    def test_agrees_with_census(self):
+        closes = {"none": 0, 2: 0, 3: 0, 4: 0}
+        for seed in range(4):
+            n = 30 + 10 * seed
+            h = hi.generate(hi.GenSpec("uncrowded_random", n, {2: 1.0, 3: 0.8, 4: 0.6}, seed=seed))
+            edges = h.edge_tuples()
+            builder = _Girth5Builder(n)
+            for e in edges:
+                assert builder.add_row(list(e))
+            rng = np.random.default_rng(seed)
+            for _ in range(150):
+                row = tuple(sorted(rng.choice(n, size=int(rng.integers(2, 5)), replace=False).tolist()))
+                if row in edges:
+                    continue
+                passes = all(builder.can_add(a, b) for a, b in itertools.combinations(row, 2))
+                census = hi.Hypergraph(n, edges + [row]).cycle_census(4, include_all_four=True)
+                assert passes == census.is_uncrowded, (seed, row)
+                shortest = 2 if census.two_cycles else 3 if census.three_total else 4
+                closes["none" if passes else shortest] += 1
+        # every kind of rejection, and acceptances, were exercised
+        assert min(closes.values()) > 50, closes
+
+
+class TestMemoryGuard:
+    @pytest.mark.parametrize("model,targets", [("girth5_graph", {2: 3.0}), ("uncrowded_random", {3: 3.0})])
+    def test_raises_before_allocating(self, model, targets):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="GiB"):
+                hi.generate(hi.GenSpec(model, 100_000, targets, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_limit_sits_near_92700(self):
+        with pytest.raises(BudgetExceededError):
+            _Girth5Builder(92_800)
 
 
 class TestGirth5:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -137,6 +138,28 @@ class TestErrors:
 
     def test_usage_error(self, capsys):
         assert cli_main(["solve", "--algo", "wat", "--in", "x"]) == 1
+
+    @pytest.mark.parametrize("algo", ["greedy", "best"])
+    def test_T_for_an_algorithm_without_one_exit_1(self, tmp_path, capsys, algo):
+        path = tmp_path / "h.nhg"
+        hi.save_nhg(hi.generate(hi.GenSpec("uniform_random", 60, {2: 3.0}, seed=1)), path)
+        code, out, err = run_cli(capsys, "solve", "--algo", algo, "--in", str(path), "--T", "0.1")
+        assert code == 1 and out == ""
+        assert f"--algo {algo} takes no T" in err
+        code, _, _ = run_cli(capsys, "solve", "--algo", algo, "--in", str(path), "--trials", "5")
+        assert code == 0
+
+    def test_gen_beyond_the_builder_memory_limit_exit_1(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(
+                capsys, "gen", "--model", "girth5_graph", "--n", "100000", "--t", "2=3"
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and out == "" and "GiB" in err
+        assert peak < 1 << 20
 
 
 class TestStudies:

@@ -41,6 +41,12 @@ class TestConstruction:
         b = hi.new_hypergraph(4, [(3, 2), (1, 0)])
         assert a == b
 
+    def test_edge_tuples_hold_python_ints_in_canonical_order(self):
+        h = hi.new_hypergraph(5, [(4, 3, 2), (1, 0), (3, 0)])
+        assert h.edge_tuples() == [(0, 1), (0, 3), (2, 3, 4)]
+        assert all(type(v) is int for e in h.edge_tuples() for v in e)
+        assert list(h.edges(3)) == [(2, 3, 4)]
+
     def test_isolated_vertices_counted(self):
         h = hi.new_hypergraph(10, [(0, 1)])
         assert h.n == 10
