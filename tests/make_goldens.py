@@ -1,5 +1,6 @@
-"""Seeded-output goldens: SHA-256 digests of generated instances, solver
-witnesses, CLI reports, hitting sets, rainbow finder results and a study CSV.
+"""Seeded-output goldens: SHA-256 digests of generated instances, cycle
+censuses, solver witnesses, CLI reports, hitting sets, rainbow finder results
+and a study CSV.
 
     PYTHONPATH=src python tests/make_goldens.py
 
@@ -61,6 +62,15 @@ STALLED_SPECS = {
     "uncrowded_random/stalled": hi.GenSpec("uncrowded_random", 60, {2: 2.5, 3: 1.5}, seed=1),
 }
 
+# cycle-census instances: three fixtures, and a non-linear random instance
+# with 112 2-cycles, 1,378 3-cycles and 16,711 4-cycles
+CENSUS_INSTANCES = {
+    "fano": lambda: hi.fixture("fano"),
+    "k4": lambda: hi.fixture("k4"),
+    "petersen": lambda: hi.fixture("petersen"),
+    "uniform60": lambda: hi.generate(hi.GenSpec("uniform_random", 60, {2: 2.0, 3: 3.0}, seed=3)),
+}
+
 
 @functools.lru_cache(maxsize=None)
 def instance(name: str) -> hi.Hypergraph:
@@ -103,6 +113,25 @@ def stalled_case(name: str):
         except InfeasibleError as exc:
             return digest(exc.achieved)
         raise AssertionError(f"{name} did not stall")
+
+    return run
+
+
+def census_case(name: str, max_len: int):
+    """Counts by signature plus the sorted (edges, links) witness list; the
+    order in which the census lists its witnesses is not pinned."""
+
+    def run() -> str:
+        census = CENSUS_INSTANCES[name]().cycle_census(max_len, want_witnesses=True)
+        witnesses = sorted((w.edges, w.link_vertices) for w in census.witnesses)
+        return digest(
+            {
+                "two": census.two_cycles,
+                "three": census.three_cycles,
+                "four": census.four_cycles,
+                "witnesses": witnesses,
+            }
+        )
 
     return run
 
@@ -177,6 +206,11 @@ def study_case(k: int, grid: str, n_mult: int):
 CASES = {
     **{f"gen/{name}": gen_case(name) for name in GEN_SPECS},
     **{f"gen/{name}": stalled_case(name) for name in STALLED_SPECS},
+    **{
+        f"census/{name}/len{j}": census_case(name, j)
+        for name in CENSUS_INSTANCES
+        for j in (2, 3, 4)
+    },
     **{
         f"spencer/{name}/seed{s}": spencer_case(name, s)
         for name in ("girth5", "mixed", "uniform", "complete")
