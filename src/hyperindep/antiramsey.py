@@ -32,8 +32,9 @@ from .hypercore import Hypergraph, _rng
 from .nibble import (
     PipelineParams,
     _best,
+    _delete_cycles,
     _mix,
-    greedy_hitting_set,
+    greedy_hitting_set,  # noqa: F401 - perfbench/layers.py wraps this module attribute
     greedy_solve,
     linear_solve,
     spencer_solve,
@@ -370,9 +371,7 @@ def find_multicolored(
 
     if regime == "log":
         census = g.cycle_census(2, want_witnesses=True)
-        removed = greedy_hitting_set([set().union(*w.edges) for w in census.witnesses or []])
-        keep = np.array([v for v in range(g.n) if v not in removed], dtype=np.int64)
-        g2, map2 = g.induced(keep)
+        g2, map2, _ = _delete_cycles(g, census.witnesses)
         report["two_cycles_removed"] = census.two_cycles
         T = max(build.T, 1.5)
         cond = {}

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceededError, InfeasibleError, OutOfRangeError, UnknownFixtureError
-from .hypercore import Hypergraph, _rng
+from .hypercore import MEMORY_LIMIT, Hypergraph, _rng
 
 __all__ = ["GenSpec", "generate", "fixture", "FIXTURE_NAMES", "MODELS"]
 
@@ -151,22 +151,22 @@ class _Girth5Builder:
     rule to one row. :meth:`fill` grows a girth-5 graph: uniform proposals are
     filtered in batches; when the acceptance rate collapses (dense late stage)
     the second endpoint is drawn from outside the 3-ball of the first. The
-    ball tables take n**2 / 4 bytes; past ``MEMORY_LIMIT`` none is allocated.
+    ball tables take n**2 / 4 bytes; past ``hypercore.MEMORY_LIMIT`` none is
+    allocated.
     """
 
     BATCH = 1024
     COMPLEMENT_THRESHOLD = 0.05  # uniform-phase acceptance rate cutoff
     BURST = 8  # complement-mode edges drawn per 3-ball computation
-    MEMORY_LIMIT = 2 << 30  # bytes of ball1 plus ball2
 
     def __init__(self, n: int, forbidden_pairs: set[int] | None = None):
         self.n = n
         self.words = (n + 63) // 64 or 1
         need = 2 * 8 * n * self.words
-        if need > self.MEMORY_LIMIT:
+        if need > MEMORY_LIMIT:
             raise BudgetExceededError(
                 f"n={n} needs {need / 2**30:.2f} GiB of ball tables, "
-                f"above the {self.MEMORY_LIMIT / 2**30:.0f} GiB limit"
+                f"above the {MEMORY_LIMIT / 2**30:.0f} GiB limit"
             )
         ids = np.arange(n)
         words_col = ids >> 6
@@ -178,16 +178,13 @@ class _Girth5Builder:
         self.deg = np.zeros(n, dtype=np.int32)
         self.nbr = np.zeros((n, 8), dtype=np.int32)
         self.edges: list[tuple[int, int]] = []
-        self.forbidden = forbidden_pairs if forbidden_pairs is not None else set()
+        self.forbidden = forbidden_pairs or set()  # pair keys lo * n + hi, read only
         self.saturated: set[int] = set()
 
-    def pair_key(self, u: int, v: int) -> int:
-        return (u * self.n + v) if u < v else (v * self.n + u)
-
     def can_add(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        if self.pair_key(u, v) in self.forbidden:
+        """An added edge u-v fails the ball test by itself: v lies in u's
+        closed 1-ball and in its own closed 2-ball."""
+        if u == v or min(u, v) * self.n + max(u, v) in self.forbidden:
             return False
         return not (self.ball1[u] & self.ball2[v]).any()
 
@@ -213,7 +210,6 @@ class _Girth5Builder:
         self.deg[u] = du + 1
         self.deg[v] = dv + 1
         self.edges.append((u, v) if u < v else (v, u))
-        self.forbidden.add(self.pair_key(u, v))
 
     def add_row(self, row: list[int]) -> bool:
         """Insert the shadow clique of ``row`` iff every pair of it is at

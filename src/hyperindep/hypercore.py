@@ -16,6 +16,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import (
+    BudgetExceededError,
     DuplicateEdgeError,
     EdgeSizeError,
     NhgParseError,
@@ -33,6 +34,10 @@ __all__ = [
     "load_nhg",
     "save_nhg",
 ]
+
+# bytes that one structure pass (a generator's ball tables, one listing of the
+# cycle census) may allocate; past it the pass raises BudgetExceededError
+MEMORY_LIMIT = 2 << 30
 
 
 @dataclass(frozen=True)
@@ -75,17 +80,15 @@ class CycleWitness:
 class CycleCensus:
     """Counts of short cycles, stratified by the sorted edge-size signature.
 
-    ``four_cycles`` follows the convention of counting only 4-cycles in which
-    no three of the four edges form a 3-cycle, unless ``includes_all_four`` is
-    set. A hypergraph is linear iff ``two_cycles == 0`` and uncrowded iff all
-    counts are zero.
+    ``four_cycles`` counts only the 4-cycles in which no three of the four
+    edges form a 3-cycle. A hypergraph is linear iff ``two_cycles == 0`` and
+    uncrowded iff all counts are zero.
     """
 
     max_len: int
     two_cycles: int = 0
     three_cycles: dict[tuple[int, int, int], int] = field(default_factory=dict)
     four_cycles: dict[tuple[int, int, int, int], int] = field(default_factory=dict)
-    includes_all_four: bool = False
     witnesses: list[CycleWitness] | None = None
 
     @property
@@ -130,7 +133,6 @@ class Hypergraph:
         "n",
         "_by_size",
         "_edge_tuples",
-        "_edge_sets",
         "_incidence",
         "_edge_id_layout",
         "_degrees",
@@ -154,7 +156,6 @@ class Hypergraph:
             by_size[size] = arr
         self._by_size = by_size
         self._edge_tuples: list[tuple[int, ...]] | None = None
-        self._edge_sets: list[frozenset[int]] | None = None
         self._incidence: tuple[np.ndarray, np.ndarray] | None = None
         self._edge_id_layout: tuple[np.ndarray, np.ndarray] | None = None
         self._degrees: dict[int, np.ndarray] = {}
@@ -166,7 +167,6 @@ class Hypergraph:
         h.n = int(n)
         h._by_size = {s: by_size[s] for s in sorted(by_size) if len(by_size[s])}
         h._edge_tuples = None
-        h._edge_sets = None
         h._incidence = None
         h._edge_id_layout = None
         h._degrees = {}
@@ -204,11 +204,6 @@ class Hypergraph:
         if self._edge_tuples is None:
             self._edge_tuples = list(self.edges())
         return self._edge_tuples
-
-    def edge_vertex_sets(self) -> list[frozenset[int]]:
-        if self._edge_sets is None:
-            self._edge_sets = [frozenset(e) for e in self.edge_tuples()]
-        return self._edge_sets
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hypergraph):
@@ -278,7 +273,7 @@ class Hypergraph:
         if self._incidence is None:
             size_of = self._edge_ids()[1]
             rows = [a.ravel() for a in self._by_size.values()]
-            v = np.concatenate([np.empty(0, np.int64), *rows])
+            v = np.concatenate([np.empty(0, np.int32), *rows])
             e = np.repeat(np.arange(len(size_of), dtype=np.int64), size_of)
             indptr = np.zeros(self.n + 1, dtype=np.int64)
             np.cumsum(np.bincount(v, minlength=self.n), out=indptr[1:])
@@ -385,146 +380,101 @@ class Hypergraph:
         keys.sort()
         return bool((keys[1:] == keys[:-1]).any())
 
-    def cycle_census(
-        self,
-        max_len: int = 4,
-        *,
-        want_witnesses: bool = False,
-        include_all_four: bool = False,
-    ) -> CycleCensus:
-        """Count 2-cycles, 3-cycles and (3-cycle-free) 4-cycles by signature.
+    def cycle_census(self, max_len: int = 4, *, want_witnesses: bool = False) -> CycleCensus:
+        """Count 2-cycles, 3-cycles and 3-cycle-free 4-cycles by signature.
 
-        Enumeration is incidence-driven: only edge pairs that share a vertex
-        are ever examined, and 4-cycle candidates come from common-neighbour
-        wedges in the edge-intersection graph.
+        Chiba and Nishizeki's wedge scheme on :meth:`incidence`, in three
+        listings by :func:`_pairs_within`: the edge pairs through each vertex
+        (a pair met twice is a 2-cycle); the wedges e-f-g of the
+        edge-intersection graph, less those whose links e&f and f&g are one
+        and the same vertex; and the pairs of wedges with the same ends.
+        Candidates are then checked for distinct link vertices. Witnesses
+        list the 2-, then 3-, then 4-cycles, each in edge-id order. A listing
+        whose arrays would exceed ``MEMORY_LIMIT`` raises
+        :class:`BudgetExceededError` before it allocates them.
         """
         if max_len not in (2, 3, 4):
             raise ValueError("max_len must be 2, 3 or 4")
-        census = CycleCensus(max_len=max_len, includes_all_four=include_all_four)
-        if want_witnesses:
-            census.witnesses = []
+        census = CycleCensus(max_len=max_len, witnesses=[] if want_witnesses else None)
+        m = self.edge_count()
+        # edge pairs through each vertex (whose edge ids ascend), keyed lo*m+hi
+        indptr, eids = self.incidence()
+        i, j = _census_pairs(indptr, "edge pairs through a vertex")
         edges = self.edge_tuples()
-        sets = self.edge_vertex_sets()
-        m = len(edges)
-        if m < 2:
-            return census
 
-        # adjacency between edges through shared vertices
-        incident: dict[int, list[int]] = {}
-        for eid, e in enumerate(edges):
-            for v in e:
-                incident.setdefault(v, []).append(eid)
-        adj: list[set[int]] = [set() for _ in range(m)]
-        for ids in incident.values():
-            if len(ids) > 1:
-                for a, b in itertools.combinations(ids, 2):
-                    adj[a].add(b)
-                    adj[b].add(a)
+        def inter(a: int, b: int) -> set[int]:
+            return set(edges[a]).intersection(edges[b])
 
-        inter_cache: dict[tuple[int, int], frozenset[int]] = {}
+        def record(counts: dict, ids: tuple[int, ...], links: list[int]) -> None:
+            sig = tuple(sorted(len(edges[e]) for e in ids))
+            counts[sig] = counts.get(sig, 0) + 1
+            if want_witnesses:
+                census.witnesses.append(CycleWitness(tuple(edges[e] for e in ids), tuple(links)))
 
-        def inter(a: int, b: int) -> frozenset[int]:
-            key = (a, b) if a < b else (b, a)
-            got = inter_cache.get(key)
-            if got is None:
-                got = sets[a] & sets[b]
-                inter_cache[key] = got
-            return got
-
-        # 2-cycles: adjacent edge pairs sharing >= 2 vertices
-        for a in range(m):
-            for b in adj[a]:
-                if b > a:
-                    shared = inter(a, b)
-                    if len(shared) >= 2:
-                        census.two_cycles += 1
-                        if want_witnesses:
-                            v1, v2 = sorted(shared)[:2]
-                            census.witnesses.append(
-                                CycleWitness((edges[a], edges[b]), (v1, v2))
-                            )
+        keys = eids[i] * m + eids[j]
+        del j
+        pair_keys, first, shared = np.unique(keys, return_index=True, return_counts=True)
+        via = np.searchsorted(indptr, i[first], side="right") - 1  # a shared vertex
+        del i, keys
+        two = pair_keys[shared >= 2]
+        census.two_cycles = len(two)
+        if want_witnesses:
+            for a, b in zip(*np.divmod(two, m)):
+                links = tuple(sorted(inter(a, b))[:2])
+                census.witnesses.append(CycleWitness((edges[a], edges[b]), links))
         if max_len == 2:
             return census
 
-        def is_three_cycle(a: int, b: int, c: int):
-            sab, sbc, sca = inter(a, b), inter(b, c), inter(c, a)
-            if not (sab and sbc and sca):
-                return None
-            return _match_distinct((sab, sbc, sca))
+        # wedges, per mid edge over its ascending neighbours; a neighbour met
+        # through one vertex has that vertex as its link, one met through
+        # several a link of its own
+        lo, hi = np.divmod(pair_keys, m)
+        link = np.where(shared == 1, via, -1 - np.arange(len(pair_keys)))
+        mid, nbr, link = np.concatenate([lo, hi]), np.concatenate([hi, lo]), np.tile(link, 2)
+        order = np.lexsort((nbr, mid))
+        mid, nbr, link = mid[order], nbr[order], link[order]
+        i, j = _census_pairs(np.searchsorted(mid, np.arange(m + 1)), "wedges")
+        keep = link[i] != link[j]
+        i, j = i[keep], j[keep]
+        del keep
+        mids, ends = mid[i], nbr[i]
+        ends *= m
+        ends += nbr[j]
+        del i, j
 
-        three_members: set[tuple[int, int, int]] = set()
-        for a in range(m):
-            for b in adj[a]:
-                if b <= a:
-                    continue
-                common = adj[a] & adj[b]
-                for c in common:
-                    if c <= b:
-                        continue
-                    links = is_three_cycle(a, b, c)
-                    if links is not None:
-                        sig = tuple(sorted((len(edges[a]), len(edges[b]), len(edges[c]))))
-                        census.three_cycles[sig] = census.three_cycles.get(sig, 0) + 1
-                        three_members.add((a, b, c))
-                        if want_witnesses:
-                            census.witnesses.append(
-                                CycleWitness((edges[a], edges[b], edges[c]), tuple(links))
-                            )
+        # a 3-cycle candidate has ends that meet and its smallest edge as mid
+        low = mids < ends // m
+        tri = np.flatnonzero(low)
+        tri = tri[np.isin(ends[tri], pair_keys)]
+        three: set[tuple[int, int, int]] = set()
+        for a, bc in zip(mids[tri].tolist(), ends[tri].tolist()):
+            b, c = divmod(bc, m)
+            links = _match_distinct((inter(a, b), inter(b, c), inter(c, a)))
+            if links is not None:
+                three.add((a, b, c))
+                record(census.three_cycles, (a, b, c), links)
         if max_len == 3:
             return census
 
-        three_set = three_members
-
-        def quad_arrangement(q: tuple[int, int, int, int]):
-            """First cyclic arrangement of the 4 edges admitting distinct links."""
-            q0, q1, q2, q3 = q
-            for order in ((q0, q1, q2, q3), (q0, q2, q1, q3), (q0, q1, q3, q2)):
-                slots = [
-                    inter(order[0], order[1]),
-                    inter(order[1], order[2]),
-                    inter(order[2], order[3]),
-                    inter(order[3], order[0]),
-                ]
-                if not all(slots):
-                    continue
-                links = _match_distinct(tuple(slots))
-                if links is not None:
-                    return order, links
-            return None
-
-        # wedges keyed by their endpoint edges; two mid edges close a 4-cycle
-        wedges: dict[tuple[int, int], list[int]] = {}
-        for mid in range(m):
-            nbrs = sorted(adj[mid])
-            for a, c in itertools.combinations(nbrs, 2):
-                wedges.setdefault((a, c), []).append(mid)
-        seen_quads: set[tuple[int, int, int, int]] = set()
-        for (a, c), mids in wedges.items():
-            if len(mids) < 2:
+        # a 4-cycle candidate is two mids of one end pair; the smallest edge
+        # of a 4-cycle is an end of such a pair, so mids above it suffice
+        order = np.flatnonzero(~low)
+        order = order[np.argsort(ends[order])]
+        ends, mids = ends[order], mids[order]
+        runs = np.flatnonzero(ends[1:] != ends[:-1]) + 1
+        x, y = _census_pairs(np.concatenate([[0], runs, [len(ends)]]), "wedge pairs")
+        quads = np.stack([*np.divmod(ends[x], m), mids[x], mids[y]], axis=1)
+        for quad in np.unique(np.sort(quads, axis=1), axis=0).tolist():
+            if any(t in three for t in itertools.combinations(quad, 3)):
                 continue
-            for b, d in itertools.combinations(mids, 2):
-                if b == a or b == c or d == a or d == c:
-                    continue
-                quad = tuple(sorted((a, b, c, d)))
-                if quad in seen_quads:
-                    continue
-                seen_quads.add(quad)
-                if not include_all_four:
-                    if any(
-                        trip in three_set
-                        for trip in itertools.combinations(quad, 3)
-                    ):
-                        continue
-                found = quad_arrangement(quad)
-                if found is None:
-                    continue
-                order, links = found
-                sig = tuple(sorted(len(edges[e]) for e in quad))
-                census.four_cycles[sig] = census.four_cycles.get(sig, 0) + 1
-                if want_witnesses:
-                    census.witnesses.append(
-                        CycleWitness(tuple(edges[e] for e in order), tuple(links))
-                    )
+            q0, q1, q2, q3 = quad
+            # the first cyclic arrangement of the four edges with distinct links
+            for cyc in ((q0, q1, q2, q3), (q0, q2, q1, q3), (q0, q1, q3, q2)):
+                slots = tuple(inter(cyc[t], cyc[(t + 1) % 4]) for t in range(4))
+                links = _match_distinct(slots) if all(slots) else None
+                if links is not None:
+                    record(census.four_cycles, cyc, links)
+                    break
         return census
 
     def graph_layer_ok(self) -> bool:
@@ -542,14 +492,11 @@ class Hypergraph:
         ends, partners = arr.ravel(), arr[:, ::-1].ravel()
         # neighbour lists, CSR by vertex, each list ascending
         nbr = partners[np.lexsort((partners, ends))].astype(np.int64)
-        deg = np.bincount(ends, minlength=n)
-        # wedge (i, j) pairs list entry i with each later entry j of its list
-        later = np.repeat(np.cumsum(deg), deg) - np.arange(len(nbr)) - 1
-        first = np.repeat(np.arange(len(nbr)), later)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
+        first, second = _pairs_within(indptr)
         if not len(first):
             return True
-        second = np.arange(len(first))
-        second -= np.repeat(np.cumsum(later) - later - np.arange(len(nbr)) - 1, later)
         keys = nbr[first]
         keys *= n
         keys += nbr[second]
@@ -557,14 +504,45 @@ class Hypergraph:
         keys.sort()
         if (keys[1:] == keys[:-1]).any():
             return False  # two vertices with two common neighbours: a 4-cycle
-        lo = np.minimum(arr[:, 0], arr[:, 1]).astype(np.int64)
-        hi = np.maximum(arr[:, 0], arr[:, 1]).astype(np.int64)
-        edge_keys = lo * n + hi
+        lo_hi = np.sort(arr, axis=1).astype(np.int64)
+        edge_keys = lo_hi[:, 0] * n + lo_hi[:, 1]
         at = np.minimum(np.searchsorted(keys, edge_keys), len(keys) - 1)
         return not bool((keys[at] == edge_keys).any())
 
 
-def _match_distinct(slots: tuple[frozenset[int], ...]) -> list[int] | None:
+def _pairs_within(indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair i < j inside one CSR group ``indptr[g]:indptr[g+1]``,
+    as two int64 arrays: group by group, lexicographic within a group."""
+    deg = np.diff(indptr)
+    total = int(indptr[-1])
+    # entry i is paired with each later entry of its group
+    later = np.repeat(indptr[1:], deg) - np.arange(total) - 1
+    first = np.repeat(np.arange(total), later)
+    second = np.arange(len(first))
+    second -= np.repeat(np.cumsum(later) - later - np.arange(total) - 1, later)
+    return first, second
+
+
+# peak bytes of a census pass per listed pair or CSR entry (tracemalloc on
+# mixed_linear n=1500 {2: 3, 3: 3}: 43): the index arrays, the kernel's
+# temporaries, the gathered keys or links and what the pass keeps
+_PAIR_BYTES = 48
+
+
+def _census_pairs(indptr: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_pairs_within`, after checking the pass fits ``MEMORY_LIMIT``."""
+    deg = np.diff(indptr)
+    count = int((deg * (deg - 1) // 2).sum())
+    need = (count + int(indptr[-1])) * _PAIR_BYTES
+    if need > MEMORY_LIMIT:
+        raise BudgetExceededError(
+            f"cycle census: {count:,} {what} need {need / 2**30:.2f} GiB, "
+            f"above the {MEMORY_LIMIT / 2**30:.0f} GiB limit"
+        )
+    return _pairs_within(indptr)
+
+
+def _match_distinct(slots: tuple[set[int], ...]) -> list[int] | None:
     """Pick pairwise distinct representatives, one per slot, or None.
 
     Augmenting-path bipartite matching between slots and vertices; with at

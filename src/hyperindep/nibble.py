@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvariantError, StepFailedError, WindowUnreachableError
-from .hypercore import Hypergraph, _rng
+from .hypercore import CycleWitness, Hypergraph, _rng
 
 __all__ = [
     "SolveReport",
@@ -399,13 +399,12 @@ class NibbleSchedule:
 # subsample preparation
 # ----------------------------------------------------------------------
 
+_PREPARE_ATTEMPTS = 16  # subsample draws before the window counts as missed
+_STEP_ATTEMPTS = 32  # draws per semi-random round before it fails
+
 
 def subsample_prepare(
-    h: Hypergraph,
-    T: float,
-    seed: int = 0,
-    schedule: NibbleSchedule | None = None,
-    attempts: int = 16,
+    h: Hypergraph, T: float, seed: int = 0, schedule: NibbleSchedule | None = None
 ) -> tuple[Hypergraph, np.ndarray, dict]:
     """Sample vertices with probability e^{-s}, prune to the start-round
     degree caps, and trim into the size window [3/4 * N/e^s, N/e^s] by
@@ -422,7 +421,7 @@ def subsample_prepare(
     lo = math.ceil(0.75 * n * p)
     caps = sched.caps(s)
     best: tuple[int, Hypergraph, np.ndarray, dict] | None = None
-    for attempt in range(attempts):
+    for attempt in range(_PREPARE_ATTEMPTS):
         if p >= 1.0:
             keep = np.arange(n)
         else:
@@ -474,7 +473,7 @@ def nibble_step(
     sched: NibbleSchedule,
     r: float,
     seed: int = 0,
-    attempts: int = 32,
+    attempts: int = _STEP_ATTEMPTS,
 ) -> StepResult:
     """One round: extract an independent slice I and a residual vertex set
     V* with its size in the round window and degrees under the next round's
@@ -616,8 +615,6 @@ def uncrowded_solve(
     T: float | None = None,
     seed: int = 0,
     mode: str = "practical",
-    schedule: NibbleSchedule | None = None,
-    step_attempts: int = 32,
     warn_hypothesis: bool = True,
 ) -> SolveReport:
     """Semi-random rounds on an uncrowded hypergraph, then greedy completion.
@@ -630,11 +627,8 @@ def uncrowded_solve(
     t_start = time.perf_counter()
     profile = h.degree_profile()
     T = max(T if T is not None else profile.t_max, 1.5)
-    sched = schedule or (
-        NibbleSchedule.practical(h.k, T)
-        if mode == "practical"
-        else NibbleSchedule.paper_literal(h.k, T)
-    )
+    plan = NibbleSchedule.practical if mode == "practical" else NibbleSchedule.paper_literal
+    sched = plan(h.k, T)
     trace: list[dict] = []
     for i in h.sizes:
         t_pow = profile.t_pow[i]
@@ -648,7 +642,7 @@ def uncrowded_solve(
             trace.append({"event": "hypothesis_violated", "size": i, "t_pow": t_pow, "bound": bound})
 
     rounds = sched.rounds()
-    params = {"T": T, "mode": sched.mode, "schedule": sched.summary(), "step_attempts": step_attempts}
+    params = {"T": T, "mode": sched.mode, "schedule": sched.summary(), "step_attempts": _STEP_ATTEMPTS}
     slices: list[int] = []
     if rounds:
         try:
@@ -670,7 +664,7 @@ def uncrowded_solve(
                     {"event": "size_window_drift", "r": r, "n_r": cur.n, "expected": expected}
                 )
             try:
-                step = nibble_step(cur, sched, r, seed=_mix(seed, idx), attempts=step_attempts)
+                step = nibble_step(cur, sched, r, seed=_mix(seed, idx))
             except StepFailedError as exc:
                 trace.append({"event": "step_failed", "r": r, "detail": str(exc)[:200]})
                 break
@@ -742,6 +736,20 @@ def greedy_hitting_set(vertex_sets: Sequence[Iterable[int]]) -> set[int]:
     return chosen
 
 
+_SMALL_T = 3.0  # below it the pipeline also races the random-deletion solver
+
+
+def _delete_cycles(
+    h: Hypergraph, witnesses: Sequence[CycleWitness]
+) -> tuple[Hypergraph, np.ndarray, int]:
+    """Delete :func:`greedy_hitting_set` of the cycles' vertex sets from ``h``:
+    returns the induced rest, its map to ``h`` ids and the count deleted.
+    The witness order does not change the hitting set."""
+    mask = np.ones(h.n, dtype=bool)
+    mask[list(greedy_hitting_set([set().union(*w.edges) for w in witnesses]))] = False
+    return (*h.induced(np.flatnonzero(mask)), h.n - int(mask.sum()))
+
+
 @dataclass(frozen=True)
 class PipelineParams:
     """Knobs for :func:`linear_solve`.
@@ -749,14 +757,12 @@ class PipelineParams:
     ``eps`` defaults to 1/(4k) (any value in (0, 1/(4k-1)) is accepted);
     ``c`` holds the per-size constants of the pruning caps — left None they
     resolve to 1 in practical mode and to min(1, 2^-9 k^-6 C(k-1,i-1)
-    10^{-3(k-i)/(k-1)}) in paper mode; ``small_T_threshold`` routes tiny-T
-    instances through the random-deletion solver instead of the nibble tail.
+    10^{-3(k-i)/(k-1)}) in paper mode.
     """
 
     T: float | None = None
     eps: float | None = None
     c: dict[int, float] | float | None = None
-    small_T_threshold: float = 3.0
     trials: int = 200
     mode: str = "practical"
 
@@ -860,19 +866,15 @@ def linear_solve(
             "four_ok": census.four_total <= bound4,
         }
     )
-    witness_sets = [set().union(*w.edges) for w in census.witnesses or [] if w.length >= 3]
-    removed_cycle_vertices = greedy_hitting_set(witness_sets)
-    keep3 = np.array(
-        [v for v in range(h2.n) if v not in removed_cycle_vertices], dtype=np.int64
-    )
-    h3, map3 = h2.induced(keep3)
+    # h2 is linear, so every witness is a 3- or 4-cycle
+    h3, map3, cut = _delete_cycles(h2, census.witnesses)
     residual_census = h3.cycle_census(4)
     trace.append(
         {
             "event": "cycles_removed",
             "three": census.three_total,
             "four": census.four_total,
-            "vertices": len(removed_cycle_vertices),
+            "vertices": cut,
             "residual_uncrowded": residual_census.is_uncrowded,
         }
     )
@@ -897,7 +899,7 @@ def linear_solve(
     candidates.append(tail_candidate)
     trace.append({"event": "tail", "size": tail.size, "tail_T": tail_T})
 
-    if T < params.small_T_threshold:
+    if T < _SMALL_T:
         sp = spencer_solve(h, seed=_mix(seed, 4), trials=params.trials)
         candidates.append(sp)
         trace.append({"event": "small_T_spencer", "size": sp.size})
@@ -933,20 +935,13 @@ def best_of(h: Hypergraph, seed: int = 0, trials: int = 200) -> SolveReport:
     gr = greedy_solve(h)
     candidates = [gr]
     linear = not h.has_two_cycle()
-    uncrowded = False
-    layer_ok = False
-    if linear:
-        if h.k == 2:
-            layer_ok = h.graph_layer_ok()
-            uncrowded = layer_ok
-        elif h.edge_count() ** 2 <= _STRUCTURE_CENSUS_LIMIT:
-            uncrowded = h.cycle_census(4).is_uncrowded
-            layer_ok = h.graph_layer_ok()
-        else:
-            layer_ok = h.graph_layer_ok()
+    layer_ok = linear and h.graph_layer_ok()
+    # an uncrowded census implies a clean graph layer
+    small = h.edge_count() ** 2 <= _STRUCTURE_CENSUS_LIMIT
+    uncrowded = layer_ok and (h.k == 2 or (small and h.cycle_census(4).is_uncrowded))
     if uncrowded:
         candidates.append(uncrowded_solve(h, seed=_mix(seed, 11)))
-    elif linear and layer_ok:
+    elif layer_ok:
         candidates.append(
             linear_solve(h, PipelineParams(trials=trials), seed=_mix(seed, 12), _greedy=gr)
         )

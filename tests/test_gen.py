@@ -48,7 +48,7 @@ class TestUncrowdedRandom:
             h = hi.generate(
                 hi.GenSpec("uncrowded_random", 70, {2: 1.5, 3: 1.5}, seed=seed)
             )
-            census = h.cycle_census(4, include_all_four=True)
+            census = h.cycle_census(4)
             assert census.is_uncrowded
 
     def test_matches_exhaustive_enumeration(self):
@@ -77,7 +77,7 @@ class TestShadowRule:
                 if row in edges:
                     continue
                 passes = all(builder.can_add(a, b) for a, b in itertools.combinations(row, 2))
-                census = hi.Hypergraph(n, edges + [row]).cycle_census(4, include_all_four=True)
+                census = hi.Hypergraph(n, edges + [row]).cycle_census(4)
                 assert passes == census.is_uncrowded, (seed, row)
                 shortest = 2 if census.two_cycles else 3 if census.three_total else 4
                 closes["none" if passes else shortest] += 1
@@ -100,6 +100,17 @@ class TestMemoryGuard:
     def test_limit_sits_near_92700(self):
         with pytest.raises(BudgetExceededError):
             _Girth5Builder(92_800)
+
+
+class TestGirth5Builder:
+    def test_added_edge_fails_the_ball_test(self):
+        builder = _Girth5Builder(40)
+        builder.add(3, 17)
+        builder.add(17, 25)
+        assert not builder.forbidden
+        for u, v in ((3, 17), (17, 3), (17, 25), (25, 17)):
+            assert not builder.can_add(u, v)
+        assert builder.can_add(3, 30)
 
 
 class TestGirth5:
@@ -151,7 +162,7 @@ class TestFixtures:
     def test_fano_is_projective_plane(self):
         fano = hi.fixture("fano")
         assert fano.n == 7 and fano.edge_count(3) == 7
-        for a, b in itertools.combinations(fano.edge_vertex_sets(), 2):
+        for a, b in itertools.combinations([frozenset(e) for e in fano.edge_tuples()], 2):
             assert len(a & b) == 1
 
     def test_petersen(self):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import hyperindep as hi
 from hyperindep.errors import (
+    BudgetExceededError,
     DuplicateEdgeError,
     EdgeSizeError,
     NhgParseError,
@@ -220,20 +222,49 @@ class TestCycleCensus:
     @settings(max_examples=25, deadline=None)
     def test_census_equals_exhaustive(self, seed):
         h = random_small_hypergraph(seed, n_max=9)
-        census = h.cycle_census(4)
+        census = h.cycle_census(4, want_witnesses=True)
         for j, got in (
             (2, census.two_cycles),
             (3, census.three_total),
             (4, census.four_total),
         ):
-            want = len(hi.enumerate_cycles_exhaustive(h, j))
+            oracle = hi.enumerate_cycles_exhaustive(h, j)
+            want = len(oracle)
             assert got == want, f"j={j} census {got} != exhaustive {want}"
+            # the same cycles, as edge sets, and each witness is a cycle
+            found = [w for w in census.witnesses if w.length == j]
+            assert {frozenset(w.edges) for w in found} == {frozenset(w.edges) for w in oracle}
+            for w in found:
+                assert len(set(w.link_vertices)) == j
+                for idx, link in enumerate(w.link_vertices):
+                    assert link in set(w.edges[idx]) & set(w.edges[(idx + 1) % j])
+
+    def test_witness_order_is_canonical(self):
+        h = hi.generate(hi.GenSpec("uniform_random", 40, {2: 2.0, 3: 2.5}, seed=1))
+        ids = {e: i for i, e in enumerate(h.edge_tuples())}
+        witnesses = h.cycle_census(4, want_witnesses=True).witnesses
+        keys = [(w.length, sorted(ids[e] for e in w.edges)) for w in witnesses]
+        assert {length for length, _ in keys} == {2, 3, 4}
+        assert keys == sorted(keys)
+
+    def test_memory_budget_raises_before_listing(self):
+        # 200,000 edges through vertex 0 make 2 * 10**10 edge pairs
+        rows = np.column_stack([np.zeros(200_000), np.arange(1, 200_001)]).astype(np.int32)
+        h = hi.Hypergraph._from_arrays(200_001, {2: rows})
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="GiB"):
+                h.cycle_census(2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_linearity_characterization(self, seed):
         h = random_small_hypergraph(seed)
-        sets = h.edge_vertex_sets()
+        sets = [frozenset(e) for e in h.edge_tuples()]
         pairwise = all(
             len(a & b) <= 1 for a, b in itertools.combinations(sets, 2)
         )
@@ -280,7 +311,7 @@ class TestGraphLayer:
             u, v = rng.choice(n, size=2, replace=False)
             edges.add((min(u, v), max(u, v)))
         h = hi.Hypergraph(n, sorted(edges))
-        census = h.cycle_census(4, include_all_four=True)
+        census = h.cycle_census(4)
         assert h.graph_layer_ok() == (census.three_total == 0 and census.four_total == 0)
         # _from_arrays keeps rows as given: flipped, shuffled rows agree
         rows = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
