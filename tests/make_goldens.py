@@ -1,12 +1,16 @@
 """Seeded-output goldens: SHA-256 digests of generated instances, cycle
-censuses, solver witnesses, CLI reports, hitting sets, rainbow finder results
-and a study CSV.
+censuses, solver witnesses, CLI outputs, hitting sets, rainbow finder results
+and study CSVs.
 
     PYTHONPATH=src python tests/make_goldens.py
 
-rewrites ``tests/goldens.json``; ``tests/test_goldens.py`` recomputes every
-case and compares. A change that alters seeded output must re-pin the file
-and say which digest moved and why.
+pins every case missing from ``tests/goldens.json`` and never overwrites a
+pinned digest: it first recomputes every pinned case, and if any differs it
+prints the names and exits 1 without writing. ``tests/test_goldens.py``
+recomputes every case and compares. A change that alters seeded output
+re-pins by deleting the moved entries from the file and rerunning this
+script, so that the deletion shows in the diff, and says in CHANGES.md which
+digest moved and why.
 """
 
 from __future__ import annotations
@@ -14,10 +18,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import os
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +209,110 @@ def study_case(k: int, grid: str, n_mult: int):
     return run
 
 
+def _save_fixture(name: str):
+    return lambda path: hi.save_nhg(hi.fixture(name), path)
+
+
+def _save_coloring(n: int, u: int, seed: int):
+    def write(path: str) -> None:
+        params = antiramsey.MatchingColoringParams(k=2, u=u, seed=seed)
+        antiramsey.save_coloring(antiramsey.matching_coloring(n, params), path)
+
+    return write
+
+
+def _save_text(text: str):
+    return lambda path: Path(path).write_text(text, encoding="ascii")
+
+
+# a coloring file that breaks all three rules: class 0 shares vertex 1 and
+# exceeds u_2 = 1, class 1 mixes sizes and has a repeated vertex, and class 2
+# repeats an edge of class 0 and has a size with no bound
+MALFORMED_COLORING = json.dumps(
+    {
+        "schema_version": 1,
+        "n": 6,
+        "ell": 3,
+        "u": {"2": 1, "3": 1},
+        "classes": [
+            {"size": 2, "edges": [[0, 1], [1, 2]]},
+            {"size": 2, "edges": [[3, 4], [3, 3, 5]]},
+            {"size": 2, "edges": [[0, 1], [2, 3, 4, 5]]},
+        ],
+    }
+)
+
+
+def cli_case(argv: str, inputs: dict | None = None, outputs: tuple[str, ...] = (), stderr: bool = False):
+    """Stdout of ``hyperindep <argv>``, then the bytes of each file named in
+    ``outputs``, then stderr when ``stderr`` is set, then ``exit=<code>``.
+    ``{tmp}`` in ``argv`` is a scratch directory that first receives each
+    ``inputs`` file, written by the callable mapped to its name."""
+
+    def run() -> str:
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, write in (inputs or {}).items():
+                write(os.path.join(tmp, name))
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = harness.cli_main([a.replace("{tmp}", tmp) for a in argv.split()])
+            blob = out.getvalue().encode("ascii")
+            blob += b"".join(Path(tmp, name).read_bytes() for name in outputs)
+            if stderr:
+                blob += err.getvalue().encode("ascii")
+            return digest(blob + f"exit={code}".encode())
+
+    return run
+
+
+PETERSEN = {"h.nhg": _save_fixture("petersen")}
+K4 = {"h.nhg": _save_fixture("k4")}
+POLY_COLORING = {"c.json": _save_coloring(96, 12, 1)}
+LOG_COLORING = {"c.json": _save_coloring(128, 128, 1)}
+
+CLI_CASES = {
+    "cli/gen/petersen": cli_case("gen --fixture petersen"),
+    "cli/exact/petersen": cli_case("exact --in {tmp}/h.nhg", PETERSEN),
+    "cli/cycles/k4": cli_case("cycles --in {tmp}/h.nhg", K4),
+    "cli/cycles/k4-witnesses": cli_case("cycles --in {tmp}/h.nhg --witnesses", K4),
+    "cli/cycles/k4-exhaustive": cli_case("cycles --in {tmp}/h.nhg --exhaustive", K4),
+    "cli/cycles/fano-witnesses": cli_case(
+        "cycles --in {tmp}/h.nhg --witnesses", {"h.nhg": _save_fixture("fano")}
+    ),
+    "cli/verify/petersen-good": cli_case(
+        "verify --in {tmp}/h.nhg --set {tmp}/w.json",
+        {**PETERSEN, "w.json": _save_text("[0, 2, 8, 9]")},
+    ),
+    "cli/verify/petersen-bad": cli_case(
+        "verify --in {tmp}/h.nhg --set {tmp}/w.txt",
+        {**PETERSEN, "w.txt": _save_text("0 1 2 3 4 5 6 7 8 9\n")},
+    ),
+    "cli/study/paired": cli_case(
+        "study paired --k 2 --t 8,12 --n-mult 40 --algos spencer,greedy --seed 1 --trials 20"
+    ),
+    "cli/ar/color": cli_case(
+        "ar color --n 64 --u 16 --ell 3 --seed 2 --out {tmp}/c.json", outputs=("c.json",)
+    ),
+    "cli/ar/validate-clean": cli_case("ar validate --coloring {tmp}/c.json", POLY_COLORING),
+    "cli/ar/validate-malformed": cli_case(
+        "ar validate --coloring {tmp}/c.json", {"c.json": _save_text(MALFORMED_COLORING)}
+    ),
+    "cli/ar/find-poly": cli_case(
+        "ar find --coloring {tmp}/c.json --regime poly --trials 30 --seed 3", POLY_COLORING
+    ),
+    "cli/ar/find-log": cli_case(
+        "ar find --coloring {tmp}/c.json --regime log --trials 30 --seed 4", LOG_COLORING
+    ),
+    "cli/ar/exactf": cli_case("ar exactf --coloring {tmp}/c.json", {"c.json": _save_coloring(12, 3, 5)}),
+    "cli/ar/sweep": cli_case("ar sweep --n-grid 32,64 --reps 3 --trials 20 --seed 1"),
+    "cli/ar/sweep-csv": cli_case(
+        "ar sweep --n-grid 48 --u 8 --regime poly --reps 2 --trials 20 --seed 2 --csv {tmp}/s.csv",
+        outputs=("s.csv",),
+    ),
+    "cli/error/bad-target": cli_case("gen --model uniform_random --n 10 --t 2:4", stderr=True),
+}
+
+
 CASES = {
     **{f"gen/{name}": gen_case(name) for name in GEN_SPECS},
     **{f"gen/{name}": stalled_case(name) for name in STALLED_SPECS},
@@ -231,13 +341,21 @@ CASES = {
     "finder/log/n256-plan": finder_case(256, 256, "log", 0, 0),
     "study/scaling/k2": study_case(2, "8,16", 64),
     "study/scaling/k3": study_case(3, "4,6", 100),
+    **CLI_CASES,
 }
 
 
 def main() -> int:
-    goldens = {name: CASES[name]() for name in sorted(CASES)}
+    pinned = json.loads(GOLDENS_PATH.read_text(encoding="ascii")) if GOLDENS_PATH.exists() else {}
+    moved = [name for name in sorted(pinned) if name in CASES and CASES[name]() != pinned[name]]
+    if moved:
+        sys.stdout.write("pinned digests differ; nothing written:\n")
+        sys.stdout.writelines(f"  {name}\n" for name in moved)
+        return 1
+    added = {name: CASES[name]() for name in sorted(CASES) if name not in pinned}
+    goldens = {**pinned, **added}
     GOLDENS_PATH.write_text(json.dumps(goldens, indent=1, sort_keys=True) + "\n", encoding="ascii")
-    sys.stdout.write(f"wrote {len(goldens)} digests to {GOLDENS_PATH}\n")
+    sys.stdout.write(f"pinned {len(added)} new digests in {GOLDENS_PATH}\n")
     return 0
 
 

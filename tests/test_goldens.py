@@ -1,8 +1,9 @@
 """Seeded outputs must match the digests pinned in ``goldens.json``.
 
-A failure means a seeded witness, report, hitting set, finder result or CSV
-changed. If the change is intended, rerun ``tests/make_goldens.py`` and say
-in CHANGES.md which digest moved and why.
+A failure means a seeded witness, report, hitting set, finder result, CLI
+output or CSV changed. If the change is intended, delete the moved entries
+from ``goldens.json``, rerun ``tests/make_goldens.py`` and say in CHANGES.md
+which digest moved and why.
 """
 
 from __future__ import annotations
