@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 from . import antiramsey, gen, nibble, oracle
 from .errors import HyperindepError
@@ -25,19 +25,10 @@ __all__ = ["main", "cli_main", "RunConfig", "StudyRow", "scaling_study", "paired
 
 SCHEMA_VERSION = 1
 
-CSV_COLUMNS = [
-    "model",
-    "n",
-    "k",
-    "t_target",
-    "t_achieved",
-    "seed",
-    "method",
-    "size",
-    "comp_spencer",
-    "comp_log",
-    "elapsed_ms",
-]
+# ``ar sweep`` CSV header; each name is a key of ``antiramsey.estimate_f``'s dict
+SWEEP_COLUMNS = (
+    "n", "s", "u_s", "regime", "reps", "min", "median", "max", "shape_poly", "shape_log"
+)
 
 
 @dataclass(frozen=True)
@@ -57,8 +48,9 @@ class RunConfig:
 
 @dataclass
 class StudyRow:
-    """One measurement; comparator columns are recomputable from the
-    descriptor fields alone."""
+    """One measurement, and one study CSV line: the fields in order are the
+    columns. Comparator columns are recomputable from the descriptor fields
+    alone."""
 
     model: str
     n: int
@@ -71,25 +63,6 @@ class StudyRow:
     comp_spencer: float
     comp_log: float
     elapsed_ms: str = ""
-
-    def csv_values(self) -> list[str]:
-        return [
-            self.model,
-            str(self.n),
-            str(self.k),
-            _fmt(self.t_target),
-            _fmt(self.t_achieved),
-            str(self.seed),
-            self.method,
-            str(self.size),
-            _fmt(self.comp_spencer),
-            _fmt(self.comp_log),
-            self.elapsed_ms,
-        ]
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
 
 
 def _study_instance(cfg: RunConfig, t: float, rep: int) -> tuple[Hypergraph, gen.GenSpec]:
@@ -169,10 +142,26 @@ def paired_study(cfg: RunConfig) -> list[StudyRow]:
     return scaling_study(cfg)
 
 
-def _write_csv(rows: list[StudyRow], path: str | None) -> None:
-    lines = [",".join(CSV_COLUMNS)]
-    lines.extend(",".join(r.csv_values()) for r in rows)
-    text = "\n".join(lines) + "\n"
+# ----------------------------------------------------------------------
+# output
+# ----------------------------------------------------------------------
+
+
+def _dump(doc: dict) -> str:
+    """A JSON document as the CLI prints it, tagged with the schema version."""
+    return json.dumps({"schema_version": SCHEMA_VERSION, **doc}, indent=1, sort_keys=True) + "\n"
+
+
+def _csv(columns, rows) -> str:
+    """CSV text: a header line, then one line per row; floats keep six
+    significant digits."""
+    lines = [columns]
+    lines += [[f"{v:.6g}" if isinstance(v, float) else str(v) for v in row] for row in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
+def _emit(text: str, path: str | None) -> None:
+    """Write ``text`` to ``path``, or to stdout when no path is given."""
     if path:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(text)
@@ -180,16 +169,8 @@ def _write_csv(rows: list[StudyRow], path: str | None) -> None:
         sys.stdout.write(text)
 
 
-# ----------------------------------------------------------------------
-# report helpers
-# ----------------------------------------------------------------------
-
-
-def report_json(
-    h: Hypergraph, rep: nibble.SolveReport, mode: str, timings: bool, extra: dict | None = None
-) -> str:
+def report_json(h: Hypergraph, rep: nibble.SolveReport, mode: str, timings: bool) -> str:
     doc = {
-        "schema_version": SCHEMA_VERSION,
         "method": rep.method,
         "mode": mode,
         "seed": rep.seed,
@@ -203,9 +184,7 @@ def report_json(
     }
     if timings:
         doc["elapsed_ms"] = round(rep.elapsed_ms, 3)
-    if extra:
-        doc.update(extra)
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    return _dump(doc)
 
 
 def _jsonable(obj):
@@ -273,12 +252,7 @@ def _cmd_solve(args) -> int:
     h = load_nhg(args.input)
     cfg = RunConfig(trials=args.trials, mode=args.mode, timings=args.timings)
     rep = _run_algo(h, args.algo, args.seed, cfg, T=args.T)
-    out = report_json(h, rep, args.mode, args.timings)
-    if args.out:
-        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    _emit(report_json(h, rep, args.mode, args.timings), args.out)
     return 0 if rep.verified else 2
 
 
@@ -286,13 +260,12 @@ def _cmd_exact(args) -> int:
     h = load_nhg(args.input)
     res = oracle.exact_alpha(h, node_budget=args.budget)
     doc = {
-        "schema_version": SCHEMA_VERSION,
         "alpha": res.alpha,
         "witness": list(res.witness),
         "nodes_explored": res.nodes_explored,
         "complete": res.complete,
     }
-    sys.stdout.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    sys.stdout.write(_dump(doc))
     return 0
 
 
@@ -303,11 +276,10 @@ def _cmd_cycles(args) -> int:
         for j in range(2, args.max_len + 1):
             wit = oracle.enumerate_cycles_exhaustive(h, j)
             counts[str(j)] = len(wit)
-        doc = {"schema_version": SCHEMA_VERSION, "exhaustive": True, "counts": counts}
+        doc = {"exhaustive": True, "counts": counts}
     else:
         census = h.cycle_census(args.max_len, want_witnesses=args.witnesses)
         doc = {
-            "schema_version": SCHEMA_VERSION,
             "exhaustive": False,
             "two_cycles": census.two_cycles,
             "three_cycles": {str(k): v for k, v in sorted(census.three_cycles.items())},
@@ -320,7 +292,7 @@ def _cmd_cycles(args) -> int:
                 {"edges": [list(e) for e in w.edges], "links": list(w.link_vertices)}
                 for w in census.witnesses or []
             ]
-    sys.stdout.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    sys.stdout.write(_dump(doc))
     return 0
 
 
@@ -328,8 +300,7 @@ def _cmd_verify(args) -> int:
     h = load_nhg(args.input)
     witness = _load_witness(args.set)
     ok = h.is_independent(witness)
-    doc = {"schema_version": SCHEMA_VERSION, "size": len(set(witness)), "verified": ok}
-    sys.stdout.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    sys.stdout.write(_dump({"size": len(set(witness)), "verified": ok}))
     return 0 if ok else 2
 
 
@@ -346,96 +317,61 @@ def _cmd_study(args) -> int:
         timings=args.timings,
     )
     rows = scaling_study(cfg) if args.kind == "scaling" else paired_study(cfg)
-    _write_csv(rows, args.csv)
+    _emit(_csv([f.name for f in fields(StudyRow)], map(astuple, rows)), args.csv)
     return 0
 
 
-def _cmd_ar(args) -> int:
-    if args.ar_cmd == "color":
-        bounds = {s: args.u for s in range(2, args.ell + 1)}
-        params = antiramsey.MatchingColoringParams(k=args.k, u=args.u, c0=args.c0, seed=args.seed)
-        coloring = antiramsey.matching_coloring(args.n, params, ell=args.ell, bounds=bounds)
-        antiramsey.save_coloring(coloring, args.out)
-        violations = antiramsey.validate_coloring(coloring)
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "n": args.n,
-            "classes": len(coloring.classes),
-            "colored_edges": coloring.colored_edge_count(),
-            "violations": len(violations),
-        }
-        sys.stdout.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-        return 0
-    if args.ar_cmd == "validate":
-        coloring = antiramsey.load_coloring(args.coloring)
-        violations = antiramsey.validate_coloring(coloring)
-        doc = {"schema_version": SCHEMA_VERSION, "violations": violations}
-        sys.stdout.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-        return 0
-    if args.ar_cmd == "find":
-        coloring = antiramsey.load_coloring(args.coloring)
-        build = antiramsey.plan_conflict_build(
-            coloring.n, coloring.bounds, regime=args.regime, cstar=args.cstar
+def _cmd_ar_color(args) -> int:
+    bounds = {s: args.u for s in range(2, args.ell + 1)}
+    params = antiramsey.MatchingColoringParams(k=args.k, u=args.u, c0=args.c0, seed=args.seed)
+    coloring = antiramsey.matching_coloring(args.n, params, ell=args.ell, bounds=bounds)
+    antiramsey.save_coloring(coloring, args.out)
+    doc = {
+        "n": args.n,
+        "classes": len(coloring.classes),
+        "colored_edges": coloring.colored_edge_count(),
+        "violations": len(antiramsey.validate_coloring(coloring)),
+    }
+    sys.stdout.write(_dump(doc))
+    return 0
+
+
+def _cmd_ar_validate(args) -> int:
+    coloring = antiramsey.load_coloring(args.coloring)
+    sys.stdout.write(_dump({"violations": antiramsey.validate_coloring(coloring)}))
+    return 0
+
+
+def _cmd_ar_find(args) -> int:
+    coloring = antiramsey.load_coloring(args.coloring)
+    build = antiramsey.plan_conflict_build(
+        coloring.n, coloring.bounds, regime=args.regime, cstar=args.cstar
+    )
+    found, report = antiramsey.find_multicolored(
+        coloring, build, seed=args.seed, trials=args.trials
+    )
+    doc = {"U": list(found), "size": len(found), "report": _jsonable(report), "seed": args.seed}
+    sys.stdout.write(_dump(doc))
+    return 0
+
+
+def _cmd_ar_exactf(args) -> int:
+    coloring = antiramsey.load_coloring(args.coloring)
+    sys.stdout.write(_dump({"f_delta": antiramsey.exact_f_delta(coloring, budget=args.budget)}))
+    return 0
+
+
+def _cmd_ar_sweep(args) -> int:
+    rows = []
+    for n in map(int, args.n_grid.split(",")):
+        u = n if args.u == "n" else int(args.u)
+        bounds = {s: u for s in range(2, args.ell + 1)}
+        stats = antiramsey.estimate_f(
+            n, bounds, regime=args.regime, reps=args.reps, seed=args.seed, trials=args.trials
         )
-        found, report = antiramsey.find_multicolored(
-            coloring, build, seed=args.seed, trials=args.trials
-        )
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "U": list(found),
-            "size": len(found),
-            "report": _jsonable(report),
-            "seed": args.seed,
-        }
-        sys.stdout.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-        return 0
-    if args.ar_cmd == "exactf":
-        coloring = antiramsey.load_coloring(args.coloring)
-        value = antiramsey.exact_f_delta(coloring, budget=args.budget)
-        doc = {"schema_version": SCHEMA_VERSION, "f_delta": value}
-        sys.stdout.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-        return 0
-    if args.ar_cmd == "sweep":
-        lines = [
-            "n,s,u_s,regime,reps,min,median,max,shape_poly,shape_log",
-        ]
-        for n_str in args.n_grid.split(","):
-            n = int(n_str)
-            u = n if args.u == "n" else int(args.u)
-            bounds = {s: u for s in range(2, args.ell + 1)}
-            stats = antiramsey.estimate_f(
-                n,
-                bounds,
-                regime=args.regime,
-                reps=args.reps,
-                seed=args.seed,
-                trials=args.trials,
-            )
-            lines.append(
-                ",".join(
-                    str(x)
-                    for x in (
-                        stats["n"],
-                        stats["s"],
-                        stats["u_s"],
-                        stats["regime"],
-                        stats["reps"],
-                        stats["min"],
-                        stats["median"],
-                        stats["max"],
-                        _fmt(stats["shape_poly"]),
-                        _fmt(stats["shape_log"]),
-                    )
-                )
-            )
-        text = "\n".join(lines) + "\n"
-        if args.csv:
-            with open(args.csv, "w", encoding="ascii", newline="\n") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return 0
-    raise ValueError(f"unknown ar subcommand {args.ar_cmd!r}")
+        rows.append([stats[c] for c in SWEEP_COLUMNS])
+    _emit(_csv(SWEEP_COLUMNS, rows), args.csv)
+    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -504,21 +440,21 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--c0", type=float)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out", required=True)
-    q.set_defaults(func=_cmd_ar)
+    q.set_defaults(func=_cmd_ar_color)
     q = arsub.add_parser("validate")
     q.add_argument("--coloring", required=True)
-    q.set_defaults(func=_cmd_ar)
+    q.set_defaults(func=_cmd_ar_validate)
     q = arsub.add_parser("find")
     q.add_argument("--coloring", required=True)
     q.add_argument("--regime", choices=("auto", "poly", "log"), default="auto")
     q.add_argument("--cstar", type=float, default=1.0)
     q.add_argument("--trials", type=int, default=100)
     q.add_argument("--seed", type=int, default=0)
-    q.set_defaults(func=_cmd_ar)
+    q.set_defaults(func=_cmd_ar_find)
     q = arsub.add_parser("exactf")
     q.add_argument("--coloring", required=True)
     q.add_argument("--budget", type=int, default=50_000_000)
-    q.set_defaults(func=_cmd_ar)
+    q.set_defaults(func=_cmd_ar_exactf)
     q = arsub.add_parser("sweep")
     q.add_argument("--n-grid", required=True, help="comma list of n values")
     q.add_argument("--u", default="n", help="'n' or an integer bound")
@@ -528,7 +464,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--trials", type=int, default=100)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--csv")
-    q.set_defaults(func=_cmd_ar)
+    q.set_defaults(func=_cmd_ar_sweep)
     return top
 
 
