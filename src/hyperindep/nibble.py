@@ -791,13 +791,7 @@ class PipelineParams:
         return {i: 1.0 for i in range(2, k + 1)}
 
 
-def linear_solve(
-    h: Hypergraph,
-    params: PipelineParams | None = None,
-    seed: int = 0,
-    *,
-    _greedy: SolveReport | None = None,
-) -> SolveReport:
+def linear_solve(h: Hypergraph, params: PipelineParams | None = None, seed: int = 0) -> SolveReport:
     """Pipeline for linear hypergraphs whose graph layer has girth >= 5.
 
     Every call first checks both preconditions (no 2-cycle, no 3- or 4-cycle
@@ -810,8 +804,7 @@ def linear_solve(
     cycles a vertex hits) so the remainder is uncrowded — this is checked;
     (4) run the uncrowded solver with driving parameter T^eps; for small T,
     (5) fall back on the random-deletion solver; (6) take the best of the
-    stage result and plain greedy. ``best_of`` hands over its own greedy
-    report through ``_greedy`` so that greedy runs once per solve.
+    stage result and plain greedy.
     """
     t_start = time.perf_counter()
     params = params or PipelineParams()
@@ -824,10 +817,19 @@ def linear_solve(
         # outside the pipeline's hypothesis: fall back on the structure-free
         # solvers but still return a verified set
         warnings.warn(f"{broken}; pipeline skipped", stacklevel=2)
-        gr = _greedy if _greedy is not None else greedy_solve(h)
-        pick = _best((spencer_solve(h, seed=_mix(seed, 4), trials=params.trials), gr))
+        pick = _best((spencer_solve(h, seed=_mix(seed, 4), trials=params.trials), greedy_solve(h)))
         out_params = {"fallback": broken, "chosen": pick.method}
         return _finish(h, "pipeline", seed, out_params, pick.witness, [], t_start)
+    # a call that fails on its parameters pays for no greedy run
+    params.resolved_eps(h.k)
+    return _pipeline(h, params, seed, greedy_solve(h), t_start)
+
+
+def _pipeline(
+    h: Hypergraph, params: PipelineParams, seed: int, gr: SolveReport, t_start: float
+) -> SolveReport:
+    """Stages (1)-(6) of :func:`linear_solve` on an input that meets both
+    preconditions, racing the greedy report ``gr``."""
     profile = h.degree_profile()
     T = max(params.T if params.T is not None else profile.t_max, 1.5)
     k = h.k
@@ -904,7 +906,6 @@ def linear_solve(
         candidates.append(sp)
         trace.append({"event": "small_T_spencer", "size": sp.size})
 
-    gr = _greedy if _greedy is not None else greedy_solve(h)
     candidates.append(gr)
     trace.append({"event": "greedy", "size": gr.size})
 
@@ -943,7 +944,7 @@ def best_of(h: Hypergraph, seed: int = 0, trials: int = 200) -> SolveReport:
         candidates.append(uncrowded_solve(h, seed=_mix(seed, 11)))
     elif layer_ok:
         candidates.append(
-            linear_solve(h, PipelineParams(trials=trials), seed=_mix(seed, 12), _greedy=gr)
+            _pipeline(h, PipelineParams(trials=trials), _mix(seed, 12), gr, time.perf_counter())
         )
     candidates.append(spencer_solve(h, seed=_mix(seed, 13), trials=trials))
     best = _best(candidates)

@@ -481,8 +481,16 @@ class TestLinearSolve:
         calls = []
         real = nibble.greedy_solve
         monkeypatch.setattr(nibble, "greedy_solve", lambda g: calls.append(g) or real(g))
+        # the pipeline under best_of trusts the dispatch's precondition checks
+        checks = []
+        for name in ("has_two_cycle", "graph_layer_ok"):
+            method = getattr(hi.Hypergraph, name)
+            spy = lambda g, m=method, name=name: checks.append((name, g)) or m(g)
+            monkeypatch.setattr(hi.Hypergraph, name, spy)
         rep = hi.best_of(h, seed=3, trials=20)
         assert rep.params["dispatch"]["graph_layer_ok"] and len(calls) == 1
+        on_input = sorted(name for name, g in checks if g is h)
+        assert on_input == ["graph_layer_ok", "has_two_cycle"]
         # a call that fails on its parameters pays for no greedy run
         with pytest.raises(ValueError):
             hi.linear_solve(h, hi.PipelineParams(eps=0.2), seed=4)
