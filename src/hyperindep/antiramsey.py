@@ -142,9 +142,7 @@ def matching_coloring(
     classes: list[ColorClass] = []
     for _ in range(m):
         flat = rng.choice(n, size=k * size, replace=False)
-        blocks = sorted(
-            tuple(sorted(int(v) for v in flat[j * k : (j + 1) * k])) for j in range(size)
-        )
+        blocks = sorted(map(tuple, np.sort(flat.reshape(size, k), axis=1).tolist()))
         fresh = [e for e in blocks if e not in taken]
         if not fresh:
             continue
