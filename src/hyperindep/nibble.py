@@ -161,17 +161,13 @@ def _greedy_core(h: Hypergraph, preset: Sequence[int] = ()) -> list[int]:
     so the result is maximal."""
     n = h.n
     edge_tuples = h.edge_tuples()
-    m = len(edge_tuples)
     indptr, eids = h.incidence()
 
     CHOSEN, DELETED, AVAIL = 1, 2, 0
     state = [AVAIL] * n
-    unchosen = [len(e) for e in edge_tuples]
-    edge_dead = [False] * m
-    deg = [0] * n
-    for e in edge_tuples:
-        for v in e:
-            deg[v] += 1
+    unchosen = h._edge_ids()[1].tolist()
+    edge_dead = [False] * len(unchosen)
+    deg = h.total_degrees().tolist()
 
     chosen: list[int] = []
     heap: list[tuple[int, int]] = []
