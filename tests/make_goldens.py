@@ -265,6 +265,29 @@ def cli_case(argv: str, inputs: dict | None = None, outputs: tuple[str, ...] = (
     return run
 
 
+# one .nhg file per NhgParseError message; the comment and blank lines ahead
+# of some bodies pin that line numbers count every line of the file
+NHG_ERRORS = {
+    "header": "n 3\ne 0 1\n",
+    "count-line": "nhg 1\ne 0 1\n",
+    "count": "nhg 1\nn x\n",
+    "negative-count": "nhg 1\nn -3\n",
+    "line-kind": "nhg 1\nn 3\n# edges\nv 0 1\n",
+    "non-integer": "nhg 1\nn 3\ne 0 1\ne 1 x\n",
+    "short-edge": "nhg 1\nn 3\n\ne 0\n",
+    "order": "# a comment\nnhg 1\nn 3\n\ne 0 1\ne 2 1\n",
+    "range": "nhg 1\nn 2\ne 0 5\n",
+    "duplicate": "nhg 1\nn 3\ne 0 1\ne 1 2\ne 0 1\n",
+}
+
+# a valid file in everything but canonical layout: comments, blank lines,
+# CRLF line ends, surrounding and doubled whitespace and a signed id
+LOOSE_NHG = {
+    "h.nhg": _save_text(
+        "# six vertices\r\nnhg 1\r\n n 6 \r\n\r\ne 0  1\r\n\te 1 +2 \n# c\ne 2 3 4\ne 0 5\n"
+    )
+}
+
 PETERSEN = {"h.nhg": _save_fixture("petersen")}
 K4 = {"h.nhg": _save_fixture("k4")}
 POLY_COLORING = {"c.json": _save_coloring(96, 12, 1)}
@@ -309,7 +332,17 @@ CLI_CASES = {
         "ar sweep --n-grid 48 --u 8 --regime poly --reps 2 --trials 20 --seed 2 --csv {tmp}/s.csv",
         outputs=("s.csv",),
     ),
+    "cli/verify/loose-nhg": cli_case(
+        "verify --in {tmp}/h.nhg --set {tmp}/w.json", {**LOOSE_NHG, "w.json": _save_text("[0, 2, 3]")}
+    ),
+    "cli/solve/loose-nhg-greedy": cli_case("solve --algo greedy --in {tmp}/h.nhg --seed 1", LOOSE_NHG),
     "cli/error/bad-target": cli_case("gen --model uniform_random --n 10 --t 2:4", stderr=True),
+    **{
+        f"cli/error/nhg-{name}": cli_case(
+            "cycles --in {tmp}/h.nhg", {"h.nhg": _save_text(text)}, stderr=True
+        )
+        for name, text in NHG_ERRORS.items()
+    },
 }
 
 
