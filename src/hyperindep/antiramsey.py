@@ -80,15 +80,6 @@ class Coloring:
     bounds: dict[int, int]
     classes: list[ColorClass] = field(default_factory=list)
 
-    def color_of(self, edge: tuple[int, ...]) -> int | None:
-        """Class id of a colored edge, None when the edge is fresh."""
-        key = tuple(sorted(edge))
-        if not hasattr(self, "_index"):
-            self._index = {
-                e: cid for cid, cls in enumerate(self.classes) for e in cls.edges
-            }
-        return self._index.get(key)
-
     def colored_edge_count(self) -> int:
         return sum(len(cls.edges) for cls in self.classes)
 

@@ -123,7 +123,70 @@ def _canonical_edge(edge: Iterable[int], n: int) -> tuple[int, ...]:
         raise EdgeSizeError(f"edge {tuple(edge)!r} has fewer than 2 distinct vertices")
     if vs[0] < 0 or vs[-1] >= n:
         raise OutOfRangeError(f"edge {tuple(vs)} has a vertex outside 0..{n - 1}")
+    if vs[-1] >= 2**31:
+        raise OutOfRangeError(f"edge {tuple(vs)} has a vertex beyond the int32 ids")
     return tuple(vs)
+
+
+def _canonical_loop(n: int, edges: Iterable[Iterable[int]]) -> dict[int, np.ndarray]:
+    """Edge by edge: collapses repeated vertices and raises on the first edge
+    that is short, out of range or supplied twice."""
+    grouped: dict[int, list[tuple[int, ...]]] = {}
+    seen: set[tuple[int, ...]] = set()
+    for edge in edges:
+        e = _canonical_edge(edge, n)
+        if e in seen:
+            raise DuplicateEdgeError(f"edge {e} supplied twice")
+        seen.add(e)
+        grouped.setdefault(len(e), []).append(e)
+    return {size: np.array(sorted(rows), dtype=np.int32) for size, rows in grouped.items()}
+
+
+def _ints(tokens: list) -> np.ndarray:
+    """``int()`` of every token, as int64; raises ValueError, TypeError or
+    OverflowError on a token it cannot take."""
+    return np.fromiter(map(int, tokens), np.int64, len(tokens))
+
+
+def _ascending(rows: np.ndarray) -> bool:
+    """True iff the rows strictly ascend in lexicographic order."""
+    if len(rows) < 2:
+        return True
+    step = rows[1:] - rows[:-1]
+    first = (step != 0).argmax(axis=1)
+    return bool((step[np.arange(len(step)), first] > 0).all())
+
+
+def _canonical_rows(n: int, rows_by_size: dict[int, np.ndarray]) -> dict[int, np.ndarray] | None:
+    """The canonical int32 blocks of ``rows_by_size`` (size -> non-empty
+    int64 rows): each row sorted, the rows of a size in lexicographic order;
+    rows already in that form are not re-sorted. None when a row is shorter
+    than 2, repeats a vertex or has one outside 0..n-1 (or beyond int32), or
+    two rows are equal: :func:`_canonical_loop` then collapses the repeats
+    or names the first bad edge."""
+    limit = min(n, 2**31)
+    out = {}
+    for size, rows in rows_by_size.items():
+        if size < 2:
+            return None
+        if not (rows[:, 1:] > rows[:, :-1]).all():
+            rows = np.sort(rows, axis=1)
+            if not (rows[:, 1:] > rows[:, :-1]).all():
+                return None
+        if rows[:, 0].min() < 0 or rows[:, -1].max() >= limit:
+            return None
+        if not _ascending(rows):
+            rows = rows[np.lexsort(rows.T[::-1])]
+            if not _ascending(rows):
+                return None
+        out[size] = rows.astype(np.int32)
+    return out
+
+
+# below this many edges the edge loop beats the array path's fixed cost of
+# about 15 us (crossover near 12 edges of size 4), so the many near-empty
+# conflict hypergraphs of the rainbow finder stay on the loop
+_ARRAY_MIN_EDGES = 12
 
 
 class Hypergraph:
@@ -139,22 +202,29 @@ class Hypergraph:
     )
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()):
+        """Edges of any iterable type, in any order and vertex order. From
+        ``_ARRAY_MIN_EDGES`` edges on they go through :func:`_canonical_rows`,
+        grouped by length; fewer edges, and inputs it refuses, take
+        :func:`_canonical_loop`."""
         if n < 0:
             raise OutOfRangeError("vertex count must be nonnegative")
+        n = int(n)
+        rows = [tuple(e) for e in edges]
+        by_size = None
+        if len(rows) >= _ARRAY_MIN_EDGES:
+            by_length: dict[int, np.ndarray] = {}
+            try:
+                for width, group in itertools.groupby(sorted(rows, key=len), key=len):
+                    tokens = list(itertools.chain.from_iterable(group))
+                    by_length[width] = _ints(tokens).reshape(-1, width)
+                by_size = _canonical_rows(n, by_length)
+            except (TypeError, ValueError, OverflowError):
+                pass
+        self._set(n, _canonical_loop(n, rows) if by_size is None else by_size)
+
+    def _set(self, n: int, by_size: dict[int, np.ndarray]) -> None:
         self.n = int(n)
-        grouped: dict[int, list[tuple[int, ...]]] = {}
-        seen: set[tuple[int, ...]] = set()
-        for edge in edges:
-            e = _canonical_edge(edge, self.n)
-            if e in seen:
-                raise DuplicateEdgeError(f"edge {e} supplied twice")
-            seen.add(e)
-            grouped.setdefault(len(e), []).append(e)
-        by_size: dict[int, np.ndarray] = {}
-        for size in sorted(grouped):
-            arr = np.array(sorted(grouped[size]), dtype=np.int32)
-            by_size[size] = arr
-        self._by_size = by_size
+        self._by_size = {s: by_size[s] for s in sorted(by_size) if len(by_size[s])}
         self._edge_tuples: list[tuple[int, ...]] | None = None
         self._incidence: tuple[np.ndarray, np.ndarray] | None = None
         self._edge_id_layout: tuple[np.ndarray, np.ndarray] | None = None
@@ -164,12 +234,7 @@ class Hypergraph:
     def _from_arrays(cls, n: int, by_size: dict[int, np.ndarray]) -> "Hypergraph":
         """Trusted constructor: rows must already be canonical and distinct."""
         h = cls.__new__(cls)
-        h.n = int(n)
-        h._by_size = {s: by_size[s] for s in sorted(by_size) if len(by_size[s])}
-        h._edge_tuples = None
-        h._incidence = None
-        h._edge_id_layout = None
-        h._degrees = {}
+        h._set(n, by_size)
         return h
 
     # ------------------------------------------------------------------
@@ -590,7 +655,53 @@ def serialize_nhg(h: Hypergraph) -> str:
 
 
 def parse_nhg(text: str) -> Hypergraph:
-    """Parse `.nhg` text; raises :class:`NhgParseError` on malformed input."""
+    """Parse `.nhg` text; raises :class:`NhgParseError` on malformed input.
+
+    Text laid out as :func:`serialize_nhg` writes it is read in whole arrays;
+    anything else (comments, blank lines, extra whitespace, CRLF, an id
+    beyond int64, an error) is read line by line, which names the bad line.
+    """
+    h = _parse_canonical_nhg(text)
+    return _parse_nhg_lines(text) if h is None else h
+
+
+def _parse_canonical_nhg(text: str) -> Hypergraph | None:
+    """The array path of :func:`parse_nhg`: the header, an ``n`` line of
+    ASCII digits, then ASCII ``e`` lines whose ids each follow one space.
+    The ids are counted per line from the byte positions of the spaces and
+    converted by one ``int`` pass over the whole body. None on any other
+    text, and on text with an error."""
+    magic, _, rest = text.partition("\n")
+    count_line, _, body = rest.partition("\n")
+    tag, _, count = count_line.partition(" ")
+    if magic != _NHG_MAGIC or tag != "n" or not (count.isascii() and count.isdigit()):
+        return None
+    n = int(count)
+    body = body[:-1] if body.endswith("\n") else body
+    if not body:
+        return Hypergraph._from_arrays(n, {})
+    if not (body.isascii() and body.startswith("e ")) or body.count("\ne ") != body.count("\n"):
+        return None
+    buf = np.frombuffer(body.encode("ascii"), np.uint8)
+    ends = np.append(np.flatnonzero(buf == ord("\n")), len(buf))
+    widths = np.diff(np.searchsorted(np.flatnonzero(buf == ord(" ")), ends), prepend=0)
+    starts = np.cumsum(widths) - widths
+    try:
+        ids = _ints(body[2:].replace("\ne ", " ").split(" "))
+    except (ValueError, OverflowError):
+        return None
+    by_size = {}
+    for width in np.unique(widths).tolist():
+        rows = ids[starts[widths == width][:, None] + np.arange(width)]
+        if width < 2 or not (rows[:, 1:] > rows[:, :-1]).all():
+            return None
+        by_size[width] = rows
+    by_size = _canonical_rows(n, by_size)
+    return None if by_size is None else Hypergraph._from_arrays(n, by_size)
+
+
+def _parse_nhg_lines(text: str) -> Hypergraph:
+    """The line-by-line reader of :func:`parse_nhg`."""
     lines = text.split("\n")
     body = [
         (idx + 1, line.strip())

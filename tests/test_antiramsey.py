@@ -45,12 +45,6 @@ class TestMatchingColoring:
             used = [v for e in cls.edges for v in e]
             assert len(used) == len(set(used))
 
-    def test_color_of(self):
-        c = small_random_coloring(30, 5, 3)
-        edge = c.classes[0].edges[0]
-        assert c.color_of(edge) == 0
-        assert c.color_of((0, 1)) is None or isinstance(c.color_of((0, 1)), int)
-
     def test_bound_above_feasible_matching_is_capped(self):
         c = hi.matching_coloring(20, hi.MatchingColoringParams(k=2, u=20, seed=4))
         for cls in c.classes:

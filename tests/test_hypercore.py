@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperindep as hi
+from hyperindep import hypercore
 from hyperindep.errors import (
     BudgetExceededError,
     DuplicateEdgeError,
@@ -356,10 +357,149 @@ class TestNhgFormat:
         h = random_small_hypergraph(seed)
         assert hi.parse_nhg(hi.serialize_nhg(h)) == h
 
-    @given(st.text(alphabet="nhge 0123456789\n#-", max_size=200))
+    @given(
+        st.lists(
+            st.one_of(
+                st.text(alphabet="nhge 0123456789\n#-\r+_\t", max_size=12),
+                st.integers(10**19, 10**20 - 1).map(str),
+            ),
+            max_size=20,
+        ).map("".join)
+    )
     @settings(max_examples=150, deadline=None)
     def test_parser_never_crashes(self, text):
         try:
             hi.parse_nhg(text)
         except NhgParseError:
             pass
+
+    def test_ids_beyond_int32_rejected(self):
+        with pytest.raises(NhgParseError, match="int32"):
+            hi.parse_nhg("nhg 1\nn 99999999999\ne 0 3000000000\n")
+
+
+def _outcome(build):
+    """What ``build()`` returns, or the type and text of what it raises."""
+    try:
+        return build()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# id tokens of a .nhg edge line: mostly plain ids, sometimes a token the
+# canonical layout never has but int() takes, or one that no reader takes
+_ID_TOKENS = st.one_of(
+    st.integers(-1, 9).map(str),
+    st.sampled_from(["+1", "1_0", "\t2", "3\r", "x", "", "99999999999999999999"]),
+)
+
+
+@st.composite
+def nhg_texts(draw):
+    """Serialized small hypergraphs, then a few edits: comments, blank
+    lines, CRLF, extra or doubled whitespace, reversed ids, replaced ids,
+    duplicated lines and other count lines."""
+    h = random_small_hypergraph(draw(st.integers(0, 10_000)), n_max=10)
+    lines = hi.serialize_nhg(h).split("\n")[:-1]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines) - 1))
+        edit = draw(
+            st.sampled_from(
+                ["comment", "blank", "cr", "space", "double", "tokens", "swap", "dup", "count"]
+            )
+        )
+        if edit == "swap" and lines[at].startswith("e "):
+            lines[at] = "e " + " ".join(lines[at].split()[:0:-1])
+        elif edit == "comment":
+            lines.insert(at, "# c")
+        elif edit == "blank":
+            lines.insert(at, draw(st.sampled_from(["", " ", "\t"])))
+        elif edit == "cr":
+            lines[at] += "\r"
+        elif edit == "space":
+            lines[at] = draw(st.sampled_from([" ", "\t"])) + lines[at] + draw(st.sampled_from(["", " "]))
+        elif edit == "double":
+            lines[at] = lines[at].replace(" ", "  ", 1)
+        elif edit == "tokens":
+            lines[at] = "e " + " ".join(draw(st.lists(_ID_TOKENS, max_size=4)))
+        elif edit == "dup":
+            lines.insert(at, lines[at])
+        else:
+            lines[1] = "n " + draw(st.sampled_from(["-1", "+7", "1", "7 x", "99999999999999999999"]))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
+
+
+class TestArrayPaths:
+    """The array reader and canonicalizer against the line parser and the
+    edge loop they fall back to."""
+
+    @given(nhg_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_array_reader_matches_line_parser(self, text):
+        want = _outcome(lambda: hypercore._parse_nhg_lines(text))
+        assert _outcome(lambda: hi.parse_nhg(text)) == want
+        h = hypercore._parse_canonical_nhg(text)
+        assert h is None or h == want
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=200, deadline=None)
+    def test_constructor_matches_loop(self, seed):
+        h = random_small_hypergraph(seed, n_max=30)
+        n, rng = h.n, np.random.default_rng(seed)
+        defect = [0.0, 0.02, 0.1][seed % 3]
+        edges = []
+        for i in rng.permutation(h.edge_count()):
+            row = [int(v) for v in rng.permutation(h.edge_tuples()[i])]
+            if rng.random() < defect:
+                row[0] = int(rng.choice([row[-1], n, -1, 2**40]))
+            kind = int(rng.integers(5))
+            if kind == 0:
+                edges.append(tuple(row))
+            elif kind == 1:
+                edges.append([np.int64(v) for v in row])
+            elif kind == 2:
+                edges.append(frozenset(row))
+            elif kind == 3:
+                edges.append(np.array(row, dtype=np.int64))
+            else:
+                edges.append(list(row))
+            if rng.random() < defect:
+                edges.append(edges[int(rng.integers(len(edges)))])
+        want = _outcome(
+            lambda: hi.Hypergraph._from_arrays(
+                n, hypercore._canonical_loop(n, [tuple(e) for e in edges])
+            )
+        )
+        assert _outcome(lambda: hi.Hypergraph(n, edges)) == want
+        assert _outcome(lambda: hi.Hypergraph(n, (e for e in edges))) == want
+        assert _outcome(lambda: hi.Hypergraph(n, [iter(e) for e in edges])) == want
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            hi.GenSpec("girth5_graph", 400, {2: 6.0}, seed=1),
+            hi.GenSpec("mixed_linear", 400, {2: 3.0, 3: 3.0, 4: 1.5}, seed=2),
+        ],
+    )
+    def test_canonical_text_stays_on_arrays(self, spec, monkeypatch):
+        h = hi.generate(spec)
+        text = hi.serialize_nhg(h)
+
+        def refuse(*args):
+            raise AssertionError("left the array path")
+
+        monkeypatch.setattr(hypercore, "_parse_nhg_lines", refuse)
+        monkeypatch.setattr(hypercore, "_canonical_loop", refuse)
+        assert hi.parse_nhg(text) == h
+        assert hi.Hypergraph(h.n, reversed(h.edge_tuples())) == h
+
+    def test_few_edges_take_no_numpy_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("took the array path")
+
+        monkeypatch.setattr(hypercore, "_canonical_rows", refuse)
+        monkeypatch.setattr(hypercore, "_ints", refuse)
+        assert hi.Hypergraph(5).edge_count() == 0
+        assert hi.Hypergraph(5, []).edge_count() == 0
+        assert hi.Hypergraph(5, [(3, 1)]).edge_tuples() == [(1, 3)]
+        assert hi.Hypergraph(20, [(i, i + 1) for i in range(hypercore._ARRAY_MIN_EDGES - 1)]).k == 2
