@@ -6,8 +6,8 @@ Exports each commit with ``git archive`` into a temporary directory and runs
 ``perfbench/run.py`` there, so each side runs its own committed package and
 benchmark code. For every workload it runs ten pairs of (before, after) on
 the same seed with tracing off, alternating which side runs first, each run
-as long as ``run_seconds`` in BENCHMARK.json; then one traced pair of
-``mixed_best``.
+as long as ``run_seconds`` in BENCHMARK.json; then one traced pair of each
+CLI workload, ``girth5_best`` and ``mixed_best``.
 
 The file records every run's metrics, each side's median and quartiles per
 end-to-end metric, the number of pairs the after side won (ties count for
@@ -32,7 +32,9 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("girth5_best", "mixed_best", "rainbow_sweep")
-TRACED = ("mixed_best",)  # where the deletion kernel and greedy sharing show
+# the CLI workloads, whose traces show the generator, .nhg I/O and solver
+# layers; rainbow_sweep runs antiramsey only
+TRACED = ("girth5_best", "mixed_best")
 FIRST_SEED = 1001  # seeds 1001.. were not used while the code was written
 PAIRS = 10
 
