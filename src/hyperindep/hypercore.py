@@ -160,19 +160,16 @@ def _ascending(rows: np.ndarray) -> bool:
 def _canonical_rows(n: int, rows_by_size: dict[int, np.ndarray]) -> dict[int, np.ndarray] | None:
     """The canonical int32 blocks of ``rows_by_size`` (size -> non-empty
     int64 rows): each row sorted, the rows of a size in lexicographic order;
-    rows already in that form are not re-sorted. None when a row is shorter
+    rows already in that order are not re-sorted. None when a row is shorter
     than 2, repeats a vertex or has one outside 0..n-1 (or beyond int32), or
     two rows are equal: :func:`_canonical_loop` then collapses the repeats
     or names the first bad edge."""
     limit = min(n, 2**31)
     out = {}
     for size, rows in rows_by_size.items():
-        if size < 2:
+        rows = np.sort(rows, axis=1)
+        if size < 2 or not (rows[:, 1:] > rows[:, :-1]).all():
             return None
-        if not (rows[:, 1:] > rows[:, :-1]).all():
-            rows = np.sort(rows, axis=1)
-            if not (rows[:, 1:] > rows[:, :-1]).all():
-                return None
         if rows[:, 0].min() < 0 or rows[:, -1].max() >= limit:
             return None
         if not _ascending(rows):
@@ -670,14 +667,17 @@ def _parse_canonical_nhg(text: str) -> Hypergraph | None:
     ASCII digits, then ASCII ``e`` lines whose ids each follow one space.
     The ids are counted per line from the byte positions of the spaces and
     converted by one ``int`` pass over the whole body. None on any other
-    text, and on text with an error."""
+    text (a count of more than 18 digits included), and on text with an
+    error."""
     magic, _, rest = text.partition("\n")
     count_line, _, body = rest.partition("\n")
     tag, _, count = count_line.partition(" ")
     if magic != _NHG_MAGIC or tag != "n" or not (count.isascii() and count.isdigit()):
         return None
+    if len(count) > 18:  # a longer count can pass int64 or int()'s 4300-digit limit
+        return None
     n = int(count)
-    body = body[:-1] if body.endswith("\n") else body
+    body = body.removesuffix("\n")
     if not body:
         return Hypergraph._from_arrays(n, {})
     if not (body.isascii() and body.startswith("e ")) or body.count("\ne ") != body.count("\n"):

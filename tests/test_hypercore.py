@@ -373,6 +373,10 @@ class TestNhgFormat:
         except NhgParseError:
             pass
 
+    def test_count_beyond_int_digit_limit_rejected(self):
+        with pytest.raises(NhgParseError, match="bad vertex count"):
+            hi.parse_nhg("nhg 1\nn " + "9" * 5000 + "\n")
+
     def test_ids_beyond_int32_rejected(self):
         with pytest.raises(NhgParseError, match="int32"):
             hi.parse_nhg("nhg 1\nn 99999999999\ne 0 3000000000\n")
