@@ -7,7 +7,7 @@ Exports each commit with ``git archive`` into a temporary directory and runs
 benchmark code. For every workload it runs ten pairs of (before, after) on
 the same seed with tracing off, alternating which side runs first, each run
 as long as ``run_seconds`` in BENCHMARK.json; then one traced pair of each
-CLI workload, ``girth5_best`` and ``mixed_best``.
+workload.
 
 The file records every run's metrics, each side's median and quartiles per
 end-to-end metric, the number of pairs the after side won (ties count for
@@ -32,9 +32,6 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("girth5_best", "mixed_best", "rainbow_sweep")
-# the CLI workloads, whose traces show the generator, .nhg I/O and solver
-# layers; rainbow_sweep runs antiramsey only
-TRACED = ("girth5_best", "mixed_best")
 FIRST_SEED = 1001  # seeds 1001.. were not used while the code was written
 PAIRS = 10
 
@@ -132,7 +129,7 @@ def main(argv=None) -> int:
                     sys.stderr.write(f"{workload} seed {seed} {side}: {pair[side]['metrics']}\n")
                 pairs.append(pair)
             doc["workloads"][workload] = {"summary": summarize(pairs, better), "runs": pairs}
-        for workload in TRACED:
+        for workload in WORKLOADS:
             doc["traced"][workload] = {
                 side: run_once(trees[side], workload, FIRST_SEED, seconds, 1)
                 for side in ("before", "after")
