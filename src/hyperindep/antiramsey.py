@@ -13,22 +13,25 @@ the conflict hypergraph there, and runs the independence solvers on it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     BudgetExceededError,
+    ColoringParseError,
     InvariantError,
     MatchingInfeasibleError,
     OutOfRangeError,
     RegimeViolationWarning,
 )
-from .hypercore import Hypergraph, _rng
+from .hypercore import Hypergraph, _canonical_rows, _rng
 from .nibble import (
     PipelineParams,
     _best,
@@ -60,28 +63,143 @@ __all__ = [
 
 _E = math.e
 
+_I32 = np.iinfo(np.int32)
+# subsets per vectorized block of exact_f_delta
+_SUBSET_BLOCK = 1 << 16
 
-@dataclass
+
+@dataclass(frozen=True)
 class ColorClass:
+    """One color class as tuples: its declared edge size and its edges."""
+
     size: int
-    edges: list[tuple[int, ...]]
+    edges: tuple[tuple[int, ...], ...]
 
 
-@dataclass
+def _offsets(counts) -> np.ndarray:
+    """CSR offsets of consecutive runs of the given lengths."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
 class Coloring:
     """Edge coloring of the complete non-uniform host, classes only.
 
     ``bounds[s]`` is the allowed multiplicity u_s of a color on size-s
     edges. Edges not in any class are fresh (distinct singleton colors).
+
+    The classes are stored once, in input order, as one CSR: ``ids`` holds
+    the int32 vertex ids of every colored edge, edge j is
+    ``ids[edge_ptr[j]:edge_ptr[j + 1]]``, class i holds edges
+    ``class_ptr[i]:class_ptr[i + 1]`` and declares the size
+    ``class_size[i]``. The arrays are read-only; ``classes`` builds a tuple
+    of :class:`ColorClass` views on each access, for the JSON file and for
+    callers that want tuples.
     """
 
-    n: int
-    ell: int
-    bounds: dict[int, int]
-    classes: list[ColorClass] = field(default_factory=list)
+    def __init__(self, n: int, ell: int, bounds: dict[int, int], classes=()):
+        classes = [(cls.size, list(cls.edges)) for cls in classes]
+        flat = [operator.index(v) for _, edges in classes for e in edges for v in e]
+        if flat and not (_I32.min <= min(flat) and max(flat) <= _I32.max):
+            raise OutOfRangeError("a colored edge has a vertex id beyond int32")
+        lens = [len(e) for _, edges in classes for e in edges]
+        counts = [len(edges) for _, edges in classes]
+        sizes = np.array([size for size, _ in classes], dtype=np.int64)
+        self._set(n, ell, bounds, np.array(flat, dtype=np.int32), _offsets(lens), _offsets(counts), sizes)
+
+    @classmethod
+    def _from_arrays(cls, n, ell, bounds, ids, edge_ptr, class_ptr, class_size) -> "Coloring":
+        c = cls.__new__(cls)
+        c._set(n, ell, bounds, ids, edge_ptr, class_ptr, class_size)
+        return c
+
+    def _set(self, n, ell, bounds, ids, edge_ptr, class_ptr, class_size) -> None:
+        self.n, self.ell, self.bounds = int(n), int(ell), dict(bounds)
+        self.ids, self.edge_ptr, self.class_ptr, self.class_size = ids, edge_ptr, class_ptr, class_size
+        for a in (ids, edge_ptr, class_ptr, class_size):
+            a.flags.writeable = False
 
     def colored_edge_count(self) -> int:
-        return sum(len(cls.edges) for cls in self.classes)
+        return len(self.edge_ptr) - 1
+
+    @property
+    def classes(self) -> tuple[ColorClass, ...]:
+        if self._in_range and self.n <= len(self.ids):
+            # one int object per vertex, shared by all its occurrences: the
+            # view then holds half the memory of one int per occurrence
+            ids = np.arange(self.n).astype(object)[self.ids].tolist()
+        else:
+            ids = self.ids.tolist()
+        ptr, cptr = self.edge_ptr.tolist(), self.class_ptr.tolist()
+        edges = [tuple(ids[a:b]) for a, b in zip(ptr, ptr[1:])]
+        return tuple(
+            ColorClass(size, tuple(edges[a:b]))
+            for size, a, b in zip(self.class_size.tolist(), cptr, cptr[1:])
+        )
+
+    def _edge(self, j: int) -> tuple[int, ...]:
+        return tuple(self.ids[self.edge_ptr[j] : self.edge_ptr[j + 1]].tolist())
+
+    @functools.cached_property
+    def _edge_class(self) -> np.ndarray:
+        """The class of every edge."""
+        return np.repeat(np.arange(len(self.class_size), dtype=np.int32), np.diff(self.class_ptr))
+
+    @functools.cached_property
+    def _id_edge(self) -> np.ndarray:
+        """The edge of every entry of ``ids``."""
+        return np.repeat(np.arange(self.colored_edge_count(), dtype=np.int32), np.diff(self.edge_ptr))
+
+    @functools.cached_property
+    def _in_range(self) -> bool:
+        return bool(((self.ids >= 0) & (self.ids < self.n)).all())
+
+    @functools.cached_property
+    def _table_ids(self) -> np.ndarray:
+        """``ids`` with every id outside 0..n-1 replaced by n."""
+        if self._in_range:
+            return self.ids
+        return np.where((self.ids >= 0) & (self.ids < self.n), self.ids, self.n)
+
+    def _inside(self, member: np.ndarray) -> np.ndarray:
+        """Per edge, whether all its vertices are members; ``member`` is a
+        bool table of n + 1 entries whose last is False."""
+        outside = self._id_edge[~member[self._table_ids]]
+        return np.bincount(outside, minlength=self.colored_edge_count()) == 0
+
+
+def _row_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stable lexicographic order of the rows of an int array, and for
+    each sorted position whether its row differs from the one before (True
+    where a run of equal rows starts).
+
+    Rows are packed into one int64 key per row, plus the row index as the
+    lowest digit so that a plain sort is stable, when that fits in 63 bits;
+    otherwise ``np.lexsort`` orders the columns."""
+    count, width = rows.shape
+    new = np.ones(count, dtype=bool)
+    if count == 0:
+        return np.zeros(0, dtype=np.int64), new
+    lo = int(rows.min()) if width else 0
+    base = int(rows.max()) - lo + 1 if width else 1
+    if base**width * count < 2**63:
+        key = np.zeros(count, dtype=np.int64)
+        for col in rows.T:
+            key *= base
+            key += col
+            key -= lo
+        key *= count
+        key += np.arange(count)
+        key.sort()
+        order = key % count
+        key //= count
+        new[1:] = key[1:] != key[:-1]
+    else:
+        order = np.lexsort(rows.T[::-1])
+        ranked = rows[order]
+        new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return order, new
 
 
 @dataclass(frozen=True)
@@ -119,7 +237,9 @@ def matching_coloring(
     of M_i not seen earlier get color i, everything else stays fresh.
 
     A matching is sampled as k*u distinct vertices split into consecutive
-    blocks, then canonicalized.
+    blocks. All m draws are then canonicalized together: each block sorted,
+    only the first copy of an edge kept, and each class in lexicographic
+    order; a matching left without edges gives no class.
     """
     k, u = params.k, params.u
     # the declared multiplicity bound may exceed the largest matching that
@@ -129,20 +249,25 @@ def matching_coloring(
         raise MatchingInfeasibleError(f"no {k}-edge matching fits in {n} vertices")
     m = params.matching_count(n)
     rng = _rng(params.seed, 31)
-    taken: set[tuple[int, ...]] = set()
-    classes: list[ColorClass] = []
-    for _ in range(m):
-        flat = rng.choice(n, size=k * size, replace=False)
-        blocks = sorted(map(tuple, np.sort(flat.reshape(size, k), axis=1).tolist()))
-        fresh = [e for e in blocks if e not in taken]
-        if not fresh:
-            continue
-        taken.update(fresh)
-        classes.append(ColorClass(k, fresh))
+    rows = np.stack([rng.choice(n, size=k * size, replace=False) for _ in range(m)])
+    rows = rows.reshape(m * size, k)
+    rows.sort(axis=1)
+    # the stable order puts each edge's first copy, the earliest matching's,
+    # at the start of its run
+    order, new = _row_runs(rows)
+    first = order[new]
+    # by matching, then lexicographic: the rank in ``first`` is the low digit
+    key = np.sort(first // size * len(first) + np.arange(len(first)))
+    first = first[key % len(first)]
+    counts = np.bincount(first // size, minlength=m)
+    counts = counts[counts > 0]
     ell = ell if ell is not None else k
     if bounds is None:
         bounds = {s: u for s in range(2, ell + 1)}
-    out = Coloring(n=n, ell=max(ell, k), bounds=dict(bounds), classes=classes)
+    ids = rows[first].ravel().astype(np.int32)
+    edge_ptr = np.arange(0, len(ids) + 1, k, dtype=np.int64)
+    sizes = np.full(len(counts), k, dtype=np.int64)
+    out = Coloring._from_arrays(n, max(ell, k), bounds, ids, edge_ptr, _offsets(counts), sizes)
     violations = validate_coloring(out)
     if violations:
         raise InvariantError(f"construction broke its own constraints: {violations[:3]}")
@@ -153,43 +278,61 @@ def validate_coloring(c: Coloring) -> list[dict]:
     """Check the three coloring conditions; returns one record per violation.
 
     (a) each class is a matching, (b) one edge size per color, (c) a size-s
-    class has at most ``bounds[s]`` edges.
+    class has at most ``bounds[s]`` edges. The tests run on the CSR. Records
+    come class by class: the size-mix record, then per edge its
+    repeated-vertex, out-of-range and shared-vertex records, then the bound
+    records by ascending size; after all classes, one record per edge whose
+    exact tuple an earlier edge already had.
     """
-    violations: list[dict] = []
-    for cid, cls in enumerate(c.classes):
-        sizes = {len(e) for e in cls.edges}
-        if len(sizes) > 1:
-            violations.append({"rule": "b", "class": cid, "detail": f"mixed sizes {sorted(sizes)}"})
-        used: dict[int, tuple[int, ...]] = {}
-        for e in cls.edges:
-            if len(e) != len(set(e)):
-                violations.append({"rule": "a", "class": cid, "detail": f"repeated vertex in {e}"})
-            if any(v < 0 or v >= c.n for v in e):
-                violations.append({"rule": "a", "class": cid, "detail": f"vertex out of range in {e}"})
-            for v in e:
-                if v in used:
-                    violations.append(
-                        {"rule": "a", "class": cid, "detail": f"vertex {v} shared by {used[v]} and {e}"}
-                    )
-                used[v] = e
-        for s in sizes:
-            cap = c.bounds.get(s)
-            count = sum(1 for e in cls.edges if len(e) == s)
-            if cap is None:
-                violations.append({"rule": "c", "class": cid, "detail": f"no bound for size {s}"})
-            elif count > cap:
-                violations.append(
-                    {"rule": "c", "class": cid, "detail": f"{count} size-{s} edges exceed u_{s}={cap}"}
-                )
-    seen: dict[tuple[int, ...], int] = {}
-    for cid, cls in enumerate(c.classes):
-        for e in cls.edges:
-            if e in seen:
-                violations.append(
-                    {"rule": "a", "class": cid, "detail": f"edge {e} already colored by class {seen[e]}"}
-                )
-            seen[e] = cid
-    return violations
+    found: list[tuple[tuple, str, int, str]] = []
+    ids = c.ids.astype(np.int64)
+    lens = np.diff(c.edge_ptr)
+    edge_class = c._edge_class
+
+    def record(key: tuple, rule: str, j: int, detail: str) -> None:
+        found.append((key, rule, int(edge_class[j]), detail))
+
+    # (b), (c): the sizes in each class and their edge counts
+    order, new = _row_runs(np.stack([edge_class, lens], axis=1))
+    starts = np.flatnonzero(new)
+    counts = np.diff(np.append(starts, len(lens))).tolist()
+    heads = order[starts].tolist()
+    per_class = np.bincount(edge_class[heads], minlength=len(c.class_size))
+    for j, count in zip(heads, counts):
+        cid, s = int(edge_class[j]), int(lens[j])
+        cap = c.bounds.get(s)
+        if cap is None:
+            record((0, cid, 2, s), "c", j, f"no bound for size {s}")
+        elif count > cap:
+            record((0, cid, 2, s), "c", j, f"{count} size-{s} edges exceed u_{s}={cap}")
+    for cid in np.flatnonzero(per_class > 1).tolist():
+        mixed = [int(lens[j]) for j in heads if edge_class[j] == cid]
+        found.append(((0, cid, 0), "b", cid, f"mixed sizes {mixed}"))
+    # (a) per edge: a repeated vertex, a vertex out of range
+    key = np.sort((c._id_edge.astype(np.int64) << 32) + (ids + 2**31))
+    for j in sorted(set((key[1:][key[1:] == key[:-1]] >> 32).tolist())):
+        record((0, int(edge_class[j]), 1, j, 0), "a", j, f"repeated vertex in {c._edge(j)}")
+    for j in sorted(set(c._id_edge[(ids < 0) | (ids >= c.n)].tolist())):
+        record((0, int(edge_class[j]), 1, j, 1), "a", j, f"vertex out of range in {c._edge(j)}")
+    # (a) a vertex met again in its class names the edge where it was last met
+    order, new = _row_runs(np.stack([edge_class[c._id_edge], ids], axis=1))
+    for at in np.flatnonzero(~new).tolist():
+        f, j, prev = int(order[at]), int(c._id_edge[order[at]]), int(c._id_edge[order[at - 1]])
+        record(
+            (0, int(edge_class[j]), 1, j, 2, f),
+            "a",
+            j,
+            f"vertex {ids[f]} shared by {c._edge(prev)} and {c._edge(j)}",
+        )
+    # an edge colored again names the class of its last earlier copy
+    for s in sorted(set(lens[heads].tolist())):
+        sel = np.flatnonzero(lens == s)
+        order, new = _row_runs(ids[c.edge_ptr[sel, None] + np.arange(s)])
+        for at in np.flatnonzero(~new).tolist():
+            j, prev = int(sel[order[at]]), int(sel[order[at - 1]])
+            record((1, j), "a", j, f"edge {c._edge(j)} already colored by class {edge_class[prev]}")
+    found.sort(key=lambda r: r[0])
+    return [{"rule": rule, "class": cid, "detail": detail} for _, rule, cid, detail in found]
 
 
 @dataclass
@@ -202,22 +345,26 @@ class CollisionReport:
     multicolored: bool
 
 
+def _members(c: Coloring, vertices, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ids of ``vertices`` in ascending order, and their bool
+    table for :meth:`Coloring._inside`; raises OutOfRangeError on an id
+    outside 0..n-1."""
+    ids = np.array(sorted({int(v) for v in vertices}), dtype=np.int64)
+    if len(ids) and (ids[0] < 0 or ids[-1] >= c.n):
+        raise OutOfRangeError(f"{what} contains an id outside 0..n-1")
+    member = np.zeros(c.n + 1, dtype=bool)
+    member[ids] = True
+    return ids, member
+
+
 def collisions(c: Coloring, probe: set[int] | list[int]) -> CollisionReport:
     """Per class, the number of pairs of its edges inside the probe set;
     the probe is totally multicolored iff every count is zero."""
-    xs = set(int(v) for v in probe)
-    if any(v < 0 or v >= c.n for v in xs):
-        raise OutOfRangeError("probe set contains an id outside 0..n-1")
-    y: dict[int, int] = {}
-    colored_inside = 0
-    for cid, cls in enumerate(c.classes):
-        inside = sum(1 for e in cls.edges if xs.issuperset(e))
-        colored_inside += inside
-        if inside >= 2:
-            y[cid] = inside * (inside - 1) // 2
-    return CollisionReport(
-        x=len(xs), y=y, colored_inside=colored_inside, multicolored=not y
-    )
+    xs, member = _members(c, probe, "probe set")
+    inside = c._inside(member)
+    per_class = np.bincount(c._edge_class[inside], minlength=len(c.class_size))
+    y = {cid: count * (count - 1) // 2 for cid, count in enumerate(per_class.tolist()) if count >= 2}
+    return CollisionReport(x=len(xs), y=y, colored_inside=int(inside.sum()), multicolored=not y)
 
 
 def conflict_hypergraph(
@@ -226,18 +373,37 @@ def conflict_hypergraph(
     """Hypergraph on the subset whose edges are unions of same-colored edge
     pairs lying inside it (size exactly 2i for size-i classes; matchings make
     the pair disjoint). Returns ``(g, mapping)``, ``mapping[new] = old``."""
-    ids = sorted(set(int(v) for v in subset))
-    if ids and (ids[0] < 0 or ids[-1] >= c.n):
-        raise OutOfRangeError("subset contains an id outside 0..n-1")
-    pos = {v: i for i, v in enumerate(ids)}
-    members = set(ids)
-    unions: set[tuple[int, ...]] = set()
-    for cls in c.classes:
-        inside = [e for e in cls.edges if members.issuperset(e)]
-        for e1, e2 in itertools.combinations(inside, 2):
-            unions.add(tuple(sorted(pos[v] for v in e1 + e2)))
-    g = Hypergraph(len(ids), sorted(unions))
-    return g, np.array(ids, dtype=np.int64)
+    ids, member = _members(c, subset, "subset")
+    pos = np.zeros(c.n + 1, dtype=np.int64)
+    pos[ids] = np.arange(len(ids))
+    inside = np.flatnonzero(c._inside(member))
+    # every pair of inside edges of one class: an edge pairs with the later
+    # edges of its class's run
+    cls = c._edge_class[inside]
+    partners = np.searchsorted(cls, cls, side="right") - np.arange(len(inside)) - 1
+    first = np.repeat(np.arange(len(inside)), partners)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(partners) - partners, partners)
+    e1, e2 = inside[first], inside[second]
+    lens = np.diff(c.edge_ptr)
+    unions: dict[int, list[np.ndarray]] = {}
+    for l1, l2 in itertools.product(sorted(set(lens[inside].tolist())), repeat=2):
+        sel = (lens[e1] == l1) & (lens[e2] == l2)
+        if sel.any():
+            a = c.ids[c.edge_ptr[e1[sel], None] + np.arange(l1)]
+            b = c.ids[c.edge_ptr[e2[sel], None] + np.arange(l2)]
+            unions.setdefault(l1 + l2, []).append(np.sort(pos[np.hstack([a, b])], axis=1))
+    by_width = {}
+    for width, parts in unions.items():
+        rows = np.concatenate(parts)
+        order, new = _row_runs(rows)
+        by_width[width] = rows[order[new]]
+    by_size = _canonical_rows(len(ids), by_width)
+    if by_size is None:
+        # a class that is not a matching gives unions that repeat a vertex;
+        # the edge loop collapses them, or names the first it refuses
+        edges = sorted(tuple(r) for block in by_width.values() for r in block.tolist())
+        return Hypergraph(len(ids), edges), ids
+    return Hypergraph._from_arrays(len(ids), by_size), ids
 
 
 # ----------------------------------------------------------------------
@@ -389,42 +555,31 @@ def find_multicolored(
 def exact_f_delta(c: Coloring, budget: int = 50_000_000) -> int:
     """Largest totally multicolored set, by checking every vertex subset.
 
-    Only classes with at least two edges can collide, so the subset test
-    reduces to per-class bitmask containment counts.
+    Subsets are bitmasks, tested in blocks of ``_SUBSET_BLOCK``. Only
+    classes with at least two edges can collide; a subset fails when it
+    contains the masks of two edges of one class.
     """
     n = c.n
     work = (1 << n) * max(1, c.colored_edge_count())
     if work > budget:
         raise BudgetExceededError(f"2^{n} subsets x {c.colored_edge_count()} edges exceeds budget")
-    class_masks: list[list[int]] = []
-    for cls in c.classes:
-        if len(cls.edges) < 2:
-            continue
-        masks = []
-        for e in cls.edges:
-            m = 0
-            for v in e:
-                m |= 1 << v
-            masks.append(m)
-        class_masks.append(masks)
+    if n > 62:
+        raise BudgetExceededError(f"{n} vertices do not fit a subset in an int64 bitmask")
+    # an id outside 0..n-1 sets bit n, which no subset holds
+    masks = np.zeros(c.colored_edge_count(), dtype=np.int64)
+    np.bitwise_or.at(masks, c._id_edge, np.left_shift(1, c._table_ids.astype(np.int64)))
+    ptr = c.class_ptr.tolist()
+    groups = [masks[a:b].tolist() for a, b in zip(ptr, ptr[1:]) if b - a >= 2]
     best = 0
-    for x in range(1 << n):
-        size = x.bit_count()
-        if size <= best:
-            continue
-        ok = True
-        for masks in class_masks:
-            inside = 0
-            for m in masks:
-                if m & x == m:
-                    inside += 1
-                    if inside >= 2:
-                        ok = False
-                        break
-            if not ok:
-                break
-        if ok:
-            best = size
+    for lo in range(0, 1 << n, _SUBSET_BLOCK):
+        x = np.arange(lo, min(lo + _SUBSET_BLOCK, 1 << n), dtype=np.int64)
+        ok = np.ones(len(x), dtype=bool)
+        for group in groups:
+            inside = np.zeros(len(x), dtype=np.int64)
+            for m in group:
+                inside += (x & m) == m
+            ok &= inside < 2
+        best = max(best, int(np.bitwise_count(x[ok]).max(initial=0)))
     return best
 
 
@@ -490,16 +645,57 @@ def save_coloring(c: Coloring, path) -> None:
         fh.write("\n")
 
 
+_JSON_KIND = {int: "an integer", list: "a list", dict: "an object"}
+
+
+def _field(obj: dict, key: str, kind: type, where: str = ""):
+    """``obj[key]``, which must have the JSON type ``kind`` (an integer is
+    never a boolean)."""
+    if key not in obj:
+        raise ColoringParseError(f"{where}missing key {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ColoringParseError(f"{where}{key!r} is not {_JSON_KIND[kind]}")
+    return value
+
+
 def load_coloring(path) -> Coloring:
+    """Read a file in the layout :func:`save_coloring` writes, straight into
+    the CSR. Raises ColoringParseError on the first thing it cannot take:
+    text that is not JSON, a missing key, a value of the wrong JSON type, a
+    schema version other than 1, or an edge that is not a list of int32 ids.
+    The coloring rules are not checked here (:func:`validate_coloring`)."""
     with open(path, "r", encoding="ascii") as fh:
-        doc = json.load(fh)
-    classes = [
-        ColorClass(int(cls["size"]), [tuple(int(v) for v in e) for e in cls["edges"]])
-        for cls in doc["classes"]
-    ]
-    return Coloring(
-        n=int(doc["n"]),
-        ell=int(doc["ell"]),
-        bounds={int(s): int(u) for s, u in doc["u"].items()},
-        classes=classes,
-    )
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ColoringParseError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ColoringParseError("expected a JSON object")
+    version = _field(doc, "schema_version", int)
+    if version != 1:
+        raise ColoringParseError(f"unknown schema_version {version}")
+    n, ell = _field(doc, "n", int), _field(doc, "ell", int)
+    bounds = {}
+    for s in _field(doc, "u", dict):
+        if not (s.isascii() and s.isdigit()):
+            raise ColoringParseError(f"'u' key {s!r} is not an edge size")
+        bounds[int(s)] = _field(doc["u"], s, int, "'u': ")
+    sizes, edge_counts, lens, flat = [], [], [], []
+    for i, cls in enumerate(_field(doc, "classes", list)):
+        where = f"class {i}: "
+        if not isinstance(cls, dict):
+            raise ColoringParseError(f"{where}expected a JSON object")
+        sizes.append(_field(cls, "size", int, where))
+        edges = _field(cls, "edges", list, where)
+        for j, e in enumerate(edges):
+            if not (
+                isinstance(e, list)
+                and all(type(v) is int and _I32.min <= v <= _I32.max for v in e)
+            ):
+                raise ColoringParseError(f"class {i}, edge {j}: expected a list of int32 vertex ids")
+            lens.append(len(e))
+            flat.extend(e)
+        edge_counts.append(len(edges))
+    ids, sizes = np.array(flat, dtype=np.int32), np.array(sizes, dtype=np.int64)
+    return Coloring._from_arrays(n, ell, bounds, ids, _offsets(lens), _offsets(edge_counts), sizes)

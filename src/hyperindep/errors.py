@@ -23,6 +23,10 @@ class NhgParseError(HyperindepError):
     """Malformed `.nhg` text."""
 
 
+class ColoringParseError(HyperindepError):
+    """Malformed coloring JSON file."""
+
+
 class UnknownFixtureError(HyperindepError):
     """Requested named instance does not exist."""
 

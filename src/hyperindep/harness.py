@@ -329,7 +329,7 @@ def _cmd_ar_color(args) -> int:
     # matching_coloring validates its own output and raises on any violation
     doc = {
         "n": args.n,
-        "classes": len(coloring.classes),
+        "classes": len(coloring.class_size),
         "colored_edges": coloring.colored_edge_count(),
         "violations": 0,
     }

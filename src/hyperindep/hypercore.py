@@ -10,6 +10,7 @@ construction; derived structures (incidence lists, degree tables) are cached.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -682,6 +683,8 @@ def _parse_canonical_nhg(text: str) -> Hypergraph | None:
         return Hypergraph._from_arrays(n, {})
     if not (body.isascii() and body.startswith("e ")) or body.count("\ne ") != body.count("\n"):
         return None
+    if "_" in body:  # int() reads "1_0" as 10; the line reader refuses it
+        return None
     buf = np.frombuffer(body.encode("ascii"), np.uint8)
     ends = np.append(np.flatnonzero(buf == ord("\n")), len(buf))
     widths = np.diff(np.searchsorted(np.flatnonzero(buf == ord(" ")), ends), prepend=0)
@@ -700,6 +703,17 @@ def _parse_canonical_nhg(text: str) -> Hypergraph | None:
     return None if by_size is None else Hypergraph._from_arrays(n, by_size)
 
 
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _decimal(token: str) -> int:
+    """The int of an optionally signed run of ASCII digits; ValueError on
+    anything else, such as the ``1_0`` and non-ASCII digits ``int()`` takes."""
+    if not _DECIMAL.fullmatch(token):
+        raise ValueError(f"not an ASCII decimal: {token!r}")
+    return int(token)
+
+
 def _parse_nhg_lines(text: str) -> Hypergraph:
     """The line-by-line reader of :func:`parse_nhg`."""
     lines = text.split("\n")
@@ -712,9 +726,10 @@ def _parse_nhg_lines(text: str) -> Hypergraph:
         raise NhgParseError("missing 'nhg 1' header")
     if len(body) < 2 or not body[1][1].startswith("n "):
         raise NhgParseError("missing 'n <count>' line")
+    fields = body[1][1].split()
     try:
-        n = int(body[1][1].split()[1])
-    except (IndexError, ValueError) as exc:
+        n = _decimal(fields[1] if len(fields) == 2 else "")
+    except ValueError as exc:
         raise NhgParseError("bad vertex count") from exc
     edges = []
     for lineno, line in body[2:]:
@@ -722,7 +737,7 @@ def _parse_nhg_lines(text: str) -> Hypergraph:
         if parts[0] != "e":
             raise NhgParseError(f"line {lineno}: expected an 'e' line")
         try:
-            vs = [int(p) for p in parts[1:]]
+            vs = [_decimal(p) for p in parts[1:]]
         except ValueError as exc:
             raise NhgParseError(f"line {lineno}: non-integer vertex id") from exc
         if len(vs) < 2:

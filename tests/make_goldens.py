@@ -30,7 +30,7 @@ import numpy as np
 
 import hyperindep as hi
 from hyperindep import antiramsey, harness, nibble
-from hyperindep.errors import InfeasibleError
+from hyperindep.errors import InfeasibleError, NhgParseError
 
 GOLDENS_PATH = Path(__file__).resolve().parent / "goldens.json"
 
@@ -278,6 +278,39 @@ NHG_ERRORS = {
     "order": "# a comment\nnhg 1\nn 3\n\ne 0 1\ne 2 1\n",
     "range": "nhg 1\nn 2\ne 0 5\n",
     "duplicate": "nhg 1\nn 3\ne 0 1\ne 1 2\ne 0 1\n",
+    # the count line holds only the count, and an id only ASCII digits
+    "count-trailing": "nhg 1\nn 7 x\n",
+    "underscore-id": "nhg 1\nn 30\ne 1_0 11\n",
+}
+
+# text the CLI cannot pass, since it reads files as ASCII: the case pins the
+# error of parse_nhg itself
+NHG_TEXT_ERRORS = {
+    "non-ascii-digit": "nhg 1\nn 3\ne 0 \u0661\n",
+}
+
+
+def nhg_text_case(text: str):
+    def run() -> str:
+        try:
+            hi.parse_nhg(text)
+        except NhgParseError as exc:
+            return digest(f"NhgParseError: {exc}".encode())
+        return digest(b"parsed")
+
+    return run
+
+
+# one coloring file per ColoringParseError message
+_COLORING_DOC = {"schema_version": 1, "n": 4, "ell": 2, "u": {"2": 2}, "classes": []}
+COLORING_ERRORS = {
+    "json": "{",
+    "not-object": "[]",
+    "missing-key": json.dumps({k: v for k, v in _COLORING_DOC.items() if k != "u"}),
+    "schema": json.dumps({**_COLORING_DOC, "schema_version": 2}),
+    "not-integer": json.dumps({**_COLORING_DOC, "n": "4"}),
+    "u-key": json.dumps({**_COLORING_DOC, "u": {"x": 2}}),
+    "vertex-id": json.dumps({**_COLORING_DOC, "classes": [{"size": 2, "edges": [[0, "x"]]}]}),
 }
 
 # a valid file in everything but canonical layout: comments, blank lines,
@@ -343,6 +376,12 @@ CLI_CASES = {
         )
         for name, text in NHG_ERRORS.items()
     },
+    **{
+        f"cli/error/coloring-{name}": cli_case(
+            "ar validate --coloring {tmp}/c.json", {"c.json": _save_text(text)}, stderr=True
+        )
+        for name, text in COLORING_ERRORS.items()
+    },
 }
 
 
@@ -374,6 +413,7 @@ CASES = {
     "finder/log/n256-plan": finder_case(256, 256, "log", 0, 0),
     "study/scaling/k2": study_case(2, "8,16", 64),
     "study/scaling/k3": study_case(3, "4,6", 100),
+    **{f"nhg/error/{name}": nhg_text_case(text) for name, text in NHG_TEXT_ERRORS.items()},
     **CLI_CASES,
 }
 

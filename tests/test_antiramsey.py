@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -7,11 +8,18 @@ import pytest
 import hyperindep as hi
 from hyperindep import antiramsey
 from hyperindep.antiramsey import ColorClass, load_coloring, save_coloring
-from hyperindep.errors import InvariantError, MatchingInfeasibleError, RegimeViolationWarning
+from hyperindep.errors import (
+    ColoringParseError,
+    InvariantError,
+    MatchingInfeasibleError,
+    OutOfRangeError,
+    RegimeViolationWarning,
+)
 
 
-def fresh_coloring(n, ell=2, u=None):
-    return hi.Coloring(n=n, ell=ell, bounds={s: (u or n) for s in range(2, ell + 1)}, classes=[])
+def fresh_coloring(n, ell=2, u=None, classes=()):
+    bounds = {s: (u or n) for s in range(2, ell + 1)}
+    return hi.Coloring(n=n, ell=ell, bounds=bounds, classes=classes)
 
 
 def small_random_coloring(n, u, seed, k=2):
@@ -61,19 +69,16 @@ class TestMatchingColoring:
 
 class TestValidateColoring:
     def test_sharing_vertex_flagged(self):
-        c = fresh_coloring(4)
-        c.classes.append(ColorClass(2, [(0, 1), (1, 2)]))
+        c = fresh_coloring(4, classes=[ColorClass(2, [(0, 1), (1, 2)])])
         v = hi.validate_coloring(c)
         assert any(x["rule"] == "a" and "1" in x["detail"] for x in v)
 
     def test_mixed_sizes_flagged(self):
-        c = fresh_coloring(5, ell=3)
-        c.classes.append(ColorClass(2, [(0, 1), (2, 3, 4)]))
+        c = fresh_coloring(5, ell=3, classes=[ColorClass(2, [(0, 1), (2, 3, 4)])])
         assert any(x["rule"] == "b" for x in hi.validate_coloring(c))
 
     def test_bound_overflow_flagged(self):
-        c = fresh_coloring(6, u=1)
-        c.classes.append(ColorClass(2, [(0, 1), (2, 3)]))
+        c = fresh_coloring(6, u=1, classes=[ColorClass(2, [(0, 1), (2, 3)])])
         assert any(x["rule"] == "c" for x in hi.validate_coloring(c))
 
 
@@ -84,8 +89,7 @@ class TestCollisions:
         assert hi.collisions(c, [3]).multicolored
 
     def test_pair_inside_detected(self):
-        c = fresh_coloring(6)
-        c.classes.append(ColorClass(2, [(0, 1), (2, 3)]))
+        c = fresh_coloring(6, classes=[ColorClass(2, [(0, 1), (2, 3)])])
         rep = hi.collisions(c, [0, 1, 2, 3])
         assert not rep.multicolored
         assert rep.y == {0: 1}
@@ -111,8 +115,7 @@ class TestConflictHypergraph:
         assert g.edge_count() == 0
 
     def test_single_pair_gives_4_edge(self):
-        c = fresh_coloring(6)
-        c.classes.append(ColorClass(2, [(0, 1), (2, 3)]))
+        c = fresh_coloring(6, classes=[ColorClass(2, [(0, 1), (2, 3)])])
         g, mapping = hi.conflict_hypergraph(c, range(5))
         assert g.edge_count(4) == 1
         (e,) = g.edges(4)
@@ -134,9 +137,9 @@ class TestConflictHypergraph:
             assert got == want
 
     def test_unions_deduplicated(self):
-        c = fresh_coloring(4)
-        c.classes.append(ColorClass(2, [(0, 1), (2, 3)]))
-        c.classes.append(ColorClass(2, [(0, 2), (1, 3)]))
+        c = fresh_coloring(
+            4, classes=[ColorClass(2, [(0, 1), (2, 3)]), ColorClass(2, [(0, 2), (1, 3)])]
+        )
         g, _ = hi.conflict_hypergraph(c, range(4))
         assert g.edge_count(4) == 1  # both pairs produce {0,1,2,3}
 
@@ -221,15 +224,13 @@ class TestExactFDelta:
         assert hi.exact_f_delta(fresh_coloring(5)) == 5
 
     def test_single_pair_class(self):
-        c = fresh_coloring(4)
-        c.classes.append(ColorClass(2, [(0, 1), (2, 3)]))
+        c = fresh_coloring(4, classes=[ColorClass(2, [(0, 1), (2, 3)])])
         assert hi.exact_f_delta(c) == 3
 
     def test_fresh_singletons_do_not_change_value(self):
         c = small_random_coloring(11, 3, seed=2)
         before = hi.exact_f_delta(c)
-        c2 = hi.Coloring(c.n, c.ell, dict(c.bounds), list(c.classes))
-        c2.classes.append(ColorClass(2, [(0, 1)]))
+        c2 = hi.Coloring(c.n, c.ell, dict(c.bounds), [*c.classes, ColorClass(2, [(0, 1)])])
         assert hi.exact_f_delta(c2) == before
 
     def test_budget(self):
@@ -336,3 +337,246 @@ class TestColoringFiles:
         assert [(cls.size, cls.edges) for cls in back.classes] == [
             (cls.size, cls.edges) for cls in c.classes
         ]
+
+
+# ----------------------------------------------------------------------
+# the array paths against per-edge references
+# ----------------------------------------------------------------------
+
+
+def reference_matching_coloring(n, params):
+    """The construction one matching at a time, on tuples."""
+    k, u = params.k, params.u
+    size = min(u, n // k)
+    rng = antiramsey._rng(params.seed, 31)
+    taken, classes = set(), []
+    for _ in range(params.matching_count(n)):
+        flat = rng.choice(n, size=k * size, replace=False)
+        blocks = sorted(map(tuple, np.sort(flat.reshape(size, k), axis=1).tolist()))
+        fresh = [e for e in blocks if e not in taken]
+        if fresh:
+            taken.update(fresh)
+            classes.append((k, tuple(fresh)))
+    return classes
+
+
+def reference_records(n, bounds, classes):
+    """The three coloring conditions, edge by edge."""
+    violations = []
+    for cid, (_, edges) in enumerate(classes):
+        sizes = {len(e) for e in edges}
+        if len(sizes) > 1:
+            violations.append({"rule": "b", "class": cid, "detail": f"mixed sizes {sorted(sizes)}"})
+        used = {}
+        for e in edges:
+            if len(e) != len(set(e)):
+                violations.append({"rule": "a", "class": cid, "detail": f"repeated vertex in {e}"})
+            if any(v < 0 or v >= n for v in e):
+                violations.append({"rule": "a", "class": cid, "detail": f"vertex out of range in {e}"})
+            for v in e:
+                if v in used:
+                    violations.append(
+                        {"rule": "a", "class": cid, "detail": f"vertex {v} shared by {used[v]} and {e}"}
+                    )
+                used[v] = e
+        for s in sorted(sizes):
+            cap = bounds.get(s)
+            count = sum(1 for e in edges if len(e) == s)
+            if cap is None:
+                violations.append({"rule": "c", "class": cid, "detail": f"no bound for size {s}"})
+            elif count > cap:
+                violations.append(
+                    {"rule": "c", "class": cid, "detail": f"{count} size-{s} edges exceed u_{s}={cap}"}
+                )
+    seen = {}
+    for cid, (_, edges) in enumerate(classes):
+        for e in edges:
+            if e in seen:
+                violations.append(
+                    {"rule": "a", "class": cid, "detail": f"edge {e} already colored by class {seen[e]}"}
+                )
+            seen[e] = cid
+    return violations
+
+
+def reference_collisions(classes, probe):
+    xs = set(probe)
+    y, colored_inside = {}, 0
+    for cid, (_, edges) in enumerate(classes):
+        inside = sum(1 for e in edges if xs.issuperset(e))
+        colored_inside += inside
+        if inside >= 2:
+            y[cid] = inside * (inside - 1) // 2
+    return hi.CollisionReport(x=len(xs), y=y, colored_inside=colored_inside, multicolored=not y)
+
+
+def reference_conflict(classes, subset):
+    ids = sorted(set(subset))
+    pos = {v: i for i, v in enumerate(ids)}
+    unions = set()
+    for _, edges in classes:
+        inside = [e for e in edges if set(ids).issuperset(e)]
+        for e1, e2 in itertools.combinations(inside, 2):
+            unions.add(tuple(sorted(pos[v] for v in e1 + e2)))
+    return hi.Hypergraph(len(ids), sorted(unions))
+
+
+def _outcome(build):
+    """What ``build()`` returns, or the type and text of what it raises."""
+    try:
+        return build()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+CORRUPTIONS = ("shared", "repeated", "range", "two-classes", "mixed", "over-bound", "empty")
+
+
+def corrupt(classes, n, k, kind, rng):
+    """A copy of ``classes`` (a list of (size, edges)) broken in one way."""
+    classes = [(size, list(edges)) for size, edges in classes]
+    cid = int(rng.choice([i for i, (_, edges) in enumerate(classes) if edges]))
+    edges = classes[cid][1]
+    j = int(rng.integers(len(edges)))
+    e = list(edges[j])
+    if kind == "shared" and len(edges) > 1:
+        e[int(rng.integers(k))] = edges[(j + 1) % len(edges)][0]
+    elif kind == "repeated":
+        e[-1] = e[0]
+    elif kind == "range":
+        e[int(rng.integers(k))] = int(rng.choice([-1, n, n + 7]))
+    elif kind == "two-classes":
+        other = (cid + 1) % len(classes)
+        classes[other][1].insert(int(rng.integers(len(classes[other][1]) + 1)), edges[j])
+    elif kind == "mixed":
+        e = e + [int(rng.integers(n))]
+    elif kind == "over-bound":
+        edges.extend(edges[: int(rng.integers(1, 4))])
+    elif kind == "empty":
+        classes.insert(int(rng.integers(len(classes) + 1)), (k, []))
+    edges[j] = tuple(e)
+    return classes
+
+
+def random_colorings():
+    """Matching colorings with k = 2 and 3, then copies with one to three
+    corruptions each."""
+    rng = np.random.default_rng(12)
+    for seed in range(40):
+        k = 2 + seed % 2
+        n = int(rng.integers(3 * k, 30))
+        u = int(rng.integers(1, n // k + 2))
+        c = small_random_coloring(n, u, seed, k=k)
+        classes = [(cls.size, cls.edges) for cls in c.classes]
+        yield n, c.bounds, classes
+        for kind in CORRUPTIONS:
+            broken = classes
+            for extra in range(int(rng.integers(1, 4))):
+                broken = corrupt(broken, n, k, kind if extra == 0 else rng.choice(CORRUPTIONS), rng)
+            yield n, c.bounds, broken
+
+
+class TestArrayPaths:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matching_coloring_matches_reference(self, k):
+        for n, u, seed in [(3 * k, 1, 0), (20, 3, 1), (64, 16, 2), (256, 256, 3), (97, 5, 4)]:
+            c = hi.matching_coloring(n, hi.MatchingColoringParams(k=k, u=u, seed=seed))
+            want = reference_matching_coloring(n, hi.MatchingColoringParams(k=k, u=u, seed=seed))
+            assert [(cls.size, cls.edges) for cls in c.classes] == want
+
+    def test_validate_matches_reference(self):
+        refused = 0
+        for n, bounds, classes in random_colorings():
+            c = hi.Coloring(n, max(bounds), bounds, [ColorClass(s, e) for s, e in classes])
+            want = reference_records(n, bounds, classes)
+            got = hi.validate_coloring(c)
+            assert (got == []) == (want == [])
+            assert got == want
+            refused += bool(want)
+        assert refused >= 200  # nearly every corrupted copy is refused
+
+    def test_collisions_and_conflicts_match_reference(self):
+        rng = np.random.default_rng(13)
+        for n, bounds, classes in random_colorings():
+            c = hi.Coloring(n, max(bounds), bounds, [ColorClass(s, e) for s, e in classes])
+            probes = [range(n)] + [
+                rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist()
+                for _ in range(3)
+            ]
+            for probe in probes:
+                assert hi.collisions(c, probe) == reference_collisions(classes, probe)
+                got = _outcome(lambda: hi.conflict_hypergraph(c, probe)[0])
+                assert got == _outcome(lambda: reference_conflict(classes, probe))
+
+    def test_exact_f_delta_matches_brute_force(self):
+        for seed in range(8):
+            c = small_random_coloring(9, 2 + seed % 3, seed, k=2 + seed % 2)
+            want = max(
+                len(x)
+                for r in range(c.n + 1)
+                for x in itertools.combinations(range(c.n), r)
+                if hi.collisions(c, x).multicolored
+            )
+            assert hi.exact_f_delta(c) == want
+
+    @pytest.mark.parametrize("span", [5, 2**31], ids=["packed", "lexsort"])
+    def test_row_runs_is_a_stable_lexicographic_order(self, span):
+        rng = np.random.default_rng(span % 97)
+        rows = rng.integers(-span, span, size=(300, 3))
+        rows[100:200] = rows[:100]
+        order, new = antiramsey._row_runs(rows)
+        want = sorted(range(len(rows)), key=lambda i: (tuple(rows[i]), i))
+        assert order.tolist() == want
+        ranked = [tuple(rows[i]) for i in want]
+        assert new.tolist() == [i == 0 or ranked[i] != ranked[i - 1] for i in range(len(rows))]
+
+    def test_classes_are_read_only(self):
+        c = small_random_coloring(30, 5, seed=4)
+        with pytest.raises(AttributeError):
+            c.classes.append(ColorClass(2, ((0, 1),)))
+        with pytest.raises(ValueError):
+            c.ids[0] = 1
+
+    def test_id_beyond_int32_refused(self):
+        with pytest.raises(OutOfRangeError):
+            hi.Coloring(4, 2, {2: 2}, [ColorClass(2, [(0, 2**31)])])
+
+
+class TestColoringParseErrors:
+    DOC = {"schema_version": 1, "n": 4, "ell": 2, "u": {"2": 2}, "classes": []}
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{", "not valid JSON"),
+            ("[]", "expected a JSON object"),
+            (json.dumps({k: v for k, v in DOC.items() if k != "u"}), "missing key 'u'"),
+            (json.dumps({k: v for k, v in DOC.items() if k != "schema_version"}), "missing key 'schema_version'"),
+            (json.dumps({**DOC, "schema_version": 2}), "unknown schema_version 2"),
+            (json.dumps({**DOC, "n": "4"}), "'n' is not an integer"),
+            (json.dumps({**DOC, "ell": True}), "'ell' is not an integer"),
+            (json.dumps({**DOC, "u": [2]}), "'u' is not an object"),
+            (json.dumps({**DOC, "u": {"x": 2}}), "'u' key 'x' is not an edge size"),
+            (json.dumps({**DOC, "u": {"2": 2.5}}), "'u': '2' is not an integer"),
+            (json.dumps({**DOC, "classes": {}}), "'classes' is not a list"),
+            (json.dumps({**DOC, "classes": [[0, 1]]}), "class 0: expected a JSON object"),
+            (json.dumps({**DOC, "classes": [{"edges": []}]}), "class 0: missing key 'size'"),
+            (json.dumps({**DOC, "classes": [{"size": 2, "edges": [[0, 1], 2]}]}), "class 0, edge 1: expected"),
+            (json.dumps({**DOC, "classes": [{"size": 2, "edges": [[0, "x"]]}]}), "class 0, edge 0: expected"),
+            (json.dumps({**DOC, "classes": [{"size": 2, "edges": [[0, 1.0]]}]}), "class 0, edge 0: expected"),
+            (json.dumps({**DOC, "classes": [{"size": 2, "edges": [[0, 2**31]]}]}), "class 0, edge 0: expected"),
+        ],
+    )
+    def test_bad_file_raises(self, tmp_path, text, message):
+        path = tmp_path / "c.json"
+        path.write_text(text, encoding="ascii")
+        with pytest.raises(ColoringParseError, match=message):
+            load_coloring(path)
+
+    def test_malformed_rules_still_load(self, tmp_path):
+        # the coloring rules are validate_coloring's to report, not the loader's
+        path = tmp_path / "c.json"
+        doc = {**self.DOC, "classes": [{"size": 2, "edges": [[0, 1], [1, 9], [3, 3, 3]]}]}
+        path.write_text(json.dumps(doc), encoding="ascii")
+        rules = [v["rule"] for v in hi.validate_coloring(load_coloring(path))]
+        assert rules == ["b", "a", "a", "a", "a", "a", "c"]

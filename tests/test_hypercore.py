@@ -377,6 +377,26 @@ class TestNhgFormat:
         with pytest.raises(NhgParseError, match="bad vertex count"):
             hi.parse_nhg("nhg 1\nn " + "9" * 5000 + "\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("nhg 1\nn 7 x\n", "bad vertex count"),
+            ("nhg 1\nn 7 8\n", "bad vertex count"),
+            ("nhg 1\nn 1_0\n", "bad vertex count"),
+            ("nhg 1\nn \u0663\n", "bad vertex count"),
+            ("nhg 1\nn 30\ne 1_0 11\n", "line 3: non-integer vertex id"),
+            ("nhg 1\nn 30\ne 1 2\ne 3 1_1\n", "line 4: non-integer vertex id"),
+            ("nhg 1\nn 3\ne 0 \u0661\n", "line 3: non-integer vertex id"),
+            ("nhg 1\nn 3\ne 0 \uff11\n", "line 3: non-integer vertex id"),
+        ],
+    )
+    def test_only_ascii_decimals_read(self, text, message):
+        with pytest.raises(NhgParseError, match=message):
+            hi.parse_nhg(text)
+
+    def test_signed_decimals_still_read(self):
+        assert hi.parse_nhg("nhg 1\nn +3\ne 0 +2\n") == hi.new_hypergraph(3, [(0, 2)])
+
     def test_ids_beyond_int32_rejected(self):
         with pytest.raises(NhgParseError, match="int32"):
             hi.parse_nhg("nhg 1\nn 99999999999\ne 0 3000000000\n")

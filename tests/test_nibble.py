@@ -199,6 +199,44 @@ class TestGreedy:
                 assert not h.is_independent(chosen | {v}), f"vertex {v} extends the set"
 
 
+def caro_wei(h):
+    """Sum of 1/(d(v)+1) over the vertices of a graph."""
+    degrees = np.zeros(h.n, dtype=np.int64)
+    for e in h.edge_tuples():
+        degrees[list(e)] += 1
+    return float((1.0 / (degrees + 1)).sum())
+
+
+class TestCaroWei:
+    """Min-degree greedy on a graph reaches the Caro-Wei bound."""
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_random_graphs(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        p = float(rng.random())
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+        h = hi.new_hypergraph(n, pairs)
+        assert hi.greedy_solve(h).size >= caro_wei(h) - 1e-9
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            hi.fixture("petersen"),
+            hi.fixture("k4"),
+            hi.fixture("c5"),
+            hi.generate(hi.GenSpec("girth5_graph", 500, {2: 6.0}, seed=4)),
+            hi.generate(hi.GenSpec("uniform_random", 300, {2: 8.0}, seed=1)),
+            hi.generate(hi.GenSpec("linear_random", 300, {2: 4.0}, seed=7)),
+        ],
+        ids=["petersen", "k4", "c5", "girth5", "uniform", "linear"],
+    )
+    def test_graph_fixtures(self, h):
+        assert h.sizes == [2]
+        assert hi.greedy_solve(h).size >= caro_wei(h) - 1e-9
+
+
 class TestPruneHighDegree:
     def test_star_center_removed(self):
         star = hi.new_hypergraph(10, [(0, i) for i in range(1, 10)])
