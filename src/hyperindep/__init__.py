@@ -34,7 +34,6 @@ from .hypercore import (
 )
 from .nibble import (
     NibbleSchedule,
-    PipelineParams,
     SolveReport,
     best_of,
     greedy_solve,
@@ -67,7 +66,6 @@ __all__ = [
     "enumerate_cycles_exhaustive",
     "SolveReport",
     "NibbleSchedule",
-    "PipelineParams",
     "spencer_solve",
     "greedy_solve",
     "prune_high_degree",

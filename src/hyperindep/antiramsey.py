@@ -33,8 +33,8 @@ from .errors import (
 )
 from .hypercore import Hypergraph, _canonical_rows, _rng
 from .nibble import (
-    PipelineParams,
     _best,
+    _choose,
     _delete_cycles,
     _mix,
     greedy_hitting_set,  # noqa: F401 - perfbench/layers.py wraps this module attribute
@@ -427,8 +427,11 @@ class ConflictBuild:
     omega: float
     T: float
     cstar: float
-    eps_abs: float
     log_ok: bool
+
+
+# the log regime needs u_s >= n^(1/2 + _EPS_ABS)
+_EPS_ABS = 0.05
 
 
 def plan_conflict_build(
@@ -436,14 +439,14 @@ def plan_conflict_build(
     bounds: dict[int, int],
     regime: str = "auto",
     cstar: float = 1.0,
-    eps_abs: float = 0.05,
 ) -> ConflictBuild:
     """Pick the dominant edge size and the sampling probability.
 
     poly: s maximizes (n^{i-1} u_i)^{1/(2i-1)} and p = (n^{s-1} u_s)^{-1/(2s-1)};
     log: s maximizes the same with a 1/ln n inside, p gains the factor
     omega = (u_s^2/n)^{1/(2(2s-1)(2l+1))}, and T = cstar * omega *
-    (ln n)^{(2s-2l)/((2s-1)(2l-1))}.
+    (ln n)^{(2s-2l)/((2s-1)(2l-1))}. ``auto`` takes log when u_s >=
+    n^{1/2+0.05}; any other regime raises ``ValueError``.
     """
     ell = max(bounds)
     ln_n = math.log(max(n, 3))
@@ -456,12 +459,12 @@ def plan_conflict_build(
 
     if regime == "auto":
         s_log = max(sorted(bounds), key=lambda i: (log_score(i), -i))
-        regime = "log" if bounds[s_log] >= n ** (0.5 + eps_abs) else "poly"
-    score = log_score if regime == "log" else poly_score
+        regime = "log" if bounds[s_log] >= n ** (0.5 + _EPS_ABS) else "poly"
+    score = _choose({"poly": poly_score, "log": log_score}, "regime", regime)
     s = max(sorted(bounds), key=lambda i: (score(i), -i))
     u_s = bounds[s]
     p_base = (1.0 / (n ** (s - 1) * u_s)) ** (1.0 / (2 * s - 1))
-    log_ok = u_s >= n ** (0.5 + eps_abs)
+    log_ok = u_s >= n ** (0.5 + _EPS_ABS)
     omega = (u_s**2 / n) ** (1.0 / (2 * (2 * s - 1) * (2 * ell + 1))) if log_ok or regime == "log" else 1.0
     if regime == "log":
         p = min(1.0, p_base * omega)
@@ -478,7 +481,6 @@ def plan_conflict_build(
         omega=omega,
         T=T,
         cstar=cstar,
-        eps_abs=eps_abs,
         log_ok=log_ok,
     )
 
@@ -500,12 +502,12 @@ def find_multicolored(
     regime = build.regime
     if regime == "log" and not build.log_ok:
         warnings.warn(
-            f"u_s={c.bounds.get(build.s)} below n^(1/2+{build.eps_abs}); using poly regime",
+            f"u_s={c.bounds.get(build.s)} below n^(1/2+{_EPS_ABS}); using poly regime",
             RegimeViolationWarning,
             stacklevel=2,
         )
         regime = "poly"
-        build = plan_conflict_build(c.n, c.bounds, "poly", build.cstar, build.eps_abs)
+        build = plan_conflict_build(c.n, c.bounds, "poly", build.cstar)
     rng = _rng(seed, 55)
     mask = rng.random(c.n) < build.p
     r_ids = [int(v) for v in np.flatnonzero(mask)]
@@ -538,7 +540,7 @@ def find_multicolored(
             cond[layer] = bool(t_pow <= bound * (1 + 1e-9))
         report["T"] = T
         report["cond_T_ok"] = cond
-        solved = linear_solve(g2, PipelineParams(T=T, trials=trials), seed=_mix(seed, 21))
+        solved = linear_solve(g2, T=T, seed=_mix(seed, 21), trials=trials)
         local = map2[list(solved.witness)] if solved.witness else []
         report["method"] = "linear-pipeline"
     else:
@@ -589,8 +591,6 @@ def estimate_f(
     regime: str = "log",
     reps: int = 10,
     seed: int = 0,
-    cstar: float = 1.0,
-    c0: float | None = None,
     trials: int = 100,
 ) -> dict:
     """Repeated (matching coloring, finder) rounds against the theoretical
@@ -599,11 +599,11 @@ def estimate_f(
     The adversary is the random-matching construction at the plan's dominant
     size; constants are unknown, so only the shapes are reported.
     """
-    build = plan_conflict_build(n, bounds, regime=regime, cstar=cstar)
+    build = plan_conflict_build(n, bounds, regime=regime)
     s, u_s = build.s, bounds[build.s]
     sizes = []
     for rep in range(reps):
-        params = MatchingColoringParams(k=s, u=u_s, c0=c0, seed=_mix(seed, rep))
+        params = MatchingColoringParams(k=s, u=u_s, seed=_mix(seed, rep))
         coloring = matching_coloring(n, params, ell=build.ell, bounds=bounds)
         found, _ = find_multicolored(coloring, build, seed=_mix(seed, 5000 + rep), trials=trials)
         sizes.append(len(found))

@@ -93,9 +93,7 @@ def _run_algo(
     if algo == "nibble":
         return nibble.uncrowded_solve(h, T=T, seed=seed, mode=cfg.mode)
     if algo == "pipeline":
-        return nibble.linear_solve(
-            h, nibble.PipelineParams(T=T, trials=cfg.trials, mode=cfg.mode), seed=seed
-        )
+        return nibble.linear_solve(h, T=T, seed=seed, trials=cfg.trials, mode=cfg.mode)
     if algo == "best":
         return nibble.best_of(h, seed=seed, trials=cfg.trials)
     raise ValueError(f"unknown algorithm {algo!r}")

@@ -181,12 +181,6 @@ def _canonical_rows(n: int, rows_by_size: dict[int, np.ndarray]) -> dict[int, np
     return out
 
 
-# below this many edges the edge loop beats the array path's fixed cost of
-# about 15 us (crossover near 12 edges of size 4), so the many near-empty
-# conflict hypergraphs of the rainbow finder stay on the loop
-_ARRAY_MIN_EDGES = 12
-
-
 class Hypergraph:
     """Immutable non-uniform hypergraph on vertices ``0..n-1``."""
 
@@ -200,24 +194,22 @@ class Hypergraph:
     )
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()):
-        """Edges of any iterable type, in any order and vertex order. From
-        ``_ARRAY_MIN_EDGES`` edges on they go through :func:`_canonical_rows`,
-        grouped by length; fewer edges, and inputs it refuses, take
-        :func:`_canonical_loop`."""
+        """Edges of any iterable type, in any order and vertex order. They go
+        through :func:`_canonical_rows`, grouped by length; inputs it refuses
+        take :func:`_canonical_loop`."""
         if n < 0:
             raise OutOfRangeError("vertex count must be nonnegative")
         n = int(n)
         rows = [tuple(e) for e in edges]
         by_size = None
-        if len(rows) >= _ARRAY_MIN_EDGES:
-            by_length: dict[int, np.ndarray] = {}
-            try:
-                for width, group in itertools.groupby(sorted(rows, key=len), key=len):
-                    tokens = list(itertools.chain.from_iterable(group))
-                    by_length[width] = _ints(tokens).reshape(-1, width)
-                by_size = _canonical_rows(n, by_length)
-            except (TypeError, ValueError, OverflowError):
-                pass
+        by_length: dict[int, np.ndarray] = {}
+        try:
+            for width, group in itertools.groupby(sorted(rows, key=len), key=len):
+                tokens = list(itertools.chain.from_iterable(group))
+                by_length[width] = _ints(tokens).reshape(-1, width)
+            by_size = _canonical_rows(n, by_length)
+        except (TypeError, ValueError, OverflowError):
+            pass
         self._set(n, _canonical_loop(n, rows) if by_size is None else by_size)
 
     def _set(self, n: int, by_size: dict[int, np.ndarray]) -> None:

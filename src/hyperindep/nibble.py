@@ -41,7 +41,6 @@ from .hypercore import CycleWitness, Hypergraph, _rng
 __all__ = [
     "SolveReport",
     "NibbleSchedule",
-    "PipelineParams",
     "StepResult",
     "spencer_solve",
     "greedy_solve",
@@ -112,13 +111,13 @@ def _finish(
 # ----------------------------------------------------------------------
 
 
-def _resolve_T(h: Hypergraph, T: float | None, floor: float = 0.5) -> float:
+def _resolve_T(h: Hypergraph, T: float | None) -> float:
     t_max = max((h.average_degree(s)[1] for s in h.sizes), default=0.0)
     if T is None:
-        return max(t_max, floor)
+        return max(t_max, 0.5)
     if T < t_max - 1e-9:
         raise ValueError(f"T={T} is below the maximum average degree {t_max:.4f}")
-    return max(float(T), floor)
+    return max(float(T), 0.5)
 
 
 def spencer_solve(
@@ -313,8 +312,8 @@ class NibbleSchedule:
     PRACTICAL_MIN_DENSITY = 2.0
 
     @classmethod
-    def practical(cls, k: int, T: float, **overrides) -> "NibbleSchedule":
-        base = dict(
+    def practical(cls, k: int, T: float) -> "NibbleSchedule":
+        return cls(
             k=k,
             T=T,
             mode="practical",
@@ -324,13 +323,11 @@ class NibbleSchedule:
             cap_slack=cls.PRACTICAL_CAP_SLACK,
             min_round_density=cls.PRACTICAL_MIN_DENSITY,
         )
-        base.update(overrides)
-        return cls(**base)
 
     @classmethod
-    def paper_literal(cls, k: int, T: float, **overrides) -> "NibbleSchedule":
+    def paper_literal(cls, k: int, T: float) -> "NibbleSchedule":
         ln_t = math.log(T)
-        base = dict(
+        return cls(
             k=k,
             T=T,
             mode="paper",
@@ -340,8 +337,6 @@ class NibbleSchedule:
             cap_slack=1.0,
             min_round_density=0.0,
         )
-        base.update(overrides)
-        return cls(**base)
 
     def slice_weight(self, r: float) -> float:
         if self.k == 2:
@@ -391,6 +386,25 @@ class NibbleSchedule:
         }
 
 
+# the round plan of each mode
+_PLANS = {"practical": NibbleSchedule.practical, "paper": NibbleSchedule.paper_literal}
+
+
+def _choose(options: dict, what: str, key: str):
+    """``options[key]``; any other key raises ``ValueError`` naming the
+    accepted ones, so a misspelt mode or regime never runs another one."""
+    if key not in options:
+        accepted = ", ".join(map(repr, options))
+        raise ValueError(f"unknown {what} {key!r}: expected one of {accepted}")
+    return options[key]
+
+
+def _driving_T(h: Hypergraph, T: float | None) -> float:
+    """The driving parameter of the nibble and the pipeline: ``T``, by
+    default the largest average degree, and never below 1.5."""
+    return max(T if T is not None else h.degree_profile().t_max, 1.5)
+
+
 # ----------------------------------------------------------------------
 # subsample preparation
 # ----------------------------------------------------------------------
@@ -400,7 +414,7 @@ _STEP_ATTEMPTS = 32  # draws per semi-random round before it fails
 
 
 def subsample_prepare(
-    h: Hypergraph, T: float, seed: int = 0, schedule: NibbleSchedule | None = None
+    h: Hypergraph, sched: NibbleSchedule, seed: int = 0
 ) -> tuple[Hypergraph, np.ndarray, dict]:
     """Sample vertices with probability e^{-s}, prune to the start-round
     degree caps, and trim into the size window [3/4 * N/e^s, N/e^s] by
@@ -409,7 +423,6 @@ def subsample_prepare(
     Retries with fresh randomness if the window's lower end fails; raises
     :class:`WindowUnreachableError` carrying the best attempt afterwards.
     """
-    sched = schedule or NibbleSchedule.practical(h.k, T)
     s = sched.s
     p = math.exp(-s)
     n = h.n
@@ -464,13 +477,7 @@ class StepResult:
     checks: dict
 
 
-def nibble_step(
-    h: Hypergraph,
-    sched: NibbleSchedule,
-    r: float,
-    seed: int = 0,
-    attempts: int = _STEP_ATTEMPTS,
-) -> StepResult:
+def nibble_step(h: Hypergraph, sched: NibbleSchedule, r: float, seed: int = 0) -> StepResult:
     """One round: extract an independent slice I and a residual vertex set
     V* with its size in the round window and degrees under the next round's
     caps.
@@ -504,7 +511,7 @@ def nibble_step(
     total_deg = h.total_degrees()
 
     last_fail = ""
-    for attempt in range(attempts):
+    for attempt in range(_STEP_ATTEMPTS):
         rng = _rng(seed, 1000, attempt)
         kept = rng.random(n) < q
 
@@ -598,7 +605,7 @@ def nibble_step(
             attempts_used=attempt + 1,
             checks=checks,
         )
-    raise StepFailedError(f"round r={r} failed after {attempts} attempts: {last_fail}")
+    raise StepFailedError(f"round r={r} failed after {_STEP_ATTEMPTS} attempts: {last_fail}")
 
 
 # ----------------------------------------------------------------------
@@ -618,12 +625,13 @@ def uncrowded_solve(
     Accumulates the per-round slices (safe to combine by the residual
     composition property), and finally extends the union to a maximal
     independent set of the input. Degrades to plain greedy when the schedule
-    has no usable rounds or preparation fails outright.
+    has no usable rounds or preparation fails outright. ``mode`` picks the
+    ``practical`` or the ``paper`` schedule.
     """
     t_start = time.perf_counter()
+    plan = _choose(_PLANS, "mode", mode)
     profile = h.degree_profile()
-    T = max(T if T is not None else profile.t_max, 1.5)
-    plan = NibbleSchedule.practical if mode == "practical" else NibbleSchedule.paper_literal
+    T = _driving_T(h, T)
     sched = plan(h.k, T)
     trace: list[dict] = []
     for i in h.sizes:
@@ -642,7 +650,7 @@ def uncrowded_solve(
     slices: list[int] = []
     if rounds:
         try:
-            cur, cur_map, prep_info = subsample_prepare(h, T, seed=seed, schedule=sched)
+            cur, cur_map, prep_info = subsample_prepare(h, sched, seed=seed)
             trace.append({"event": "prepared", **{k: v for k, v in prep_info.items() if k != "caps"}})
         except WindowUnreachableError as exc:
             cur, cur_map, prep_info = exc.best_attempt
@@ -746,64 +754,40 @@ def _delete_cycles(
     return (*h.induced(np.flatnonzero(mask)), h.n - int(mask.sum()))
 
 
-@dataclass(frozen=True)
-class PipelineParams:
-    """Knobs for :func:`linear_solve`.
+def _pruning_constants(k: int, mode: str) -> dict[int, float]:
+    """The per-size constants c_i of the pipeline's pruning caps: 1 in
+    practical mode, min(1, 2^-9 k^-6 C(k-1,i-1) 10^{-3(k-i)/(k-1)}) in paper
+    mode."""
 
-    ``eps`` defaults to 1/(4k) (any value in (0, 1/(4k-1)) is accepted);
-    ``c`` holds the per-size constants of the pruning caps — left None they
-    resolve to 1 in practical mode and to min(1, 2^-9 k^-6 C(k-1,i-1)
-    10^{-3(k-i)/(k-1)}) in paper mode.
-    """
+    def paper(i: int) -> float:
+        scale = 10.0 ** (-3.0 * (k - i) / (k - 1))
+        return min(1.0, 2.0**-9 * k**-6 * math.comb(k - 1, i - 1) * scale)
 
-    T: float | None = None
-    eps: float | None = None
-    c: dict[int, float] | float | None = None
-    trials: int = 200
-    mode: str = "practical"
-
-    def resolved_eps(self, k: int) -> float:
-        eps = self.eps if self.eps is not None else 1.0 / (4 * k)
-        if not (0.0 < eps < 1.0 / (4 * k - 1)):
-            raise ValueError(f"eps must lie in (0, 1/(4k-1)) for k={k}")
-        return eps
-
-    def resolved_c(self, k: int) -> dict[int, float]:
-        if isinstance(self.c, dict):
-            return {i: float(self.c.get(i, 1.0)) for i in range(2, k + 1)}
-        if self.c is not None:
-            return {i: float(self.c) for i in range(2, k + 1)}
-        if self.mode == "paper":
-            return {
-                i: min(
-                    1.0,
-                    2.0**-9
-                    * k**-6
-                    * math.comb(k - 1, i - 1)
-                    * 10.0 ** (-3.0 * (k - i) / (k - 1)),
-                )
-                for i in range(2, k + 1)
-            }
-        return {i: 1.0 for i in range(2, k + 1)}
+    c_of = _choose({"practical": lambda i: 1.0, "paper": paper}, "mode", mode)
+    return {i: c_of(i) for i in range(2, k + 1)}
 
 
-def linear_solve(h: Hypergraph, params: PipelineParams | None = None, seed: int = 0) -> SolveReport:
+def linear_solve(
+    h: Hypergraph, T: float | None = None, seed: int = 0, trials: int = 200, mode: str = "practical"
+) -> SolveReport:
     """Pipeline for linear hypergraphs whose graph layer has girth >= 5.
 
     Every call first checks both preconditions (no 2-cycle, no 3- or 4-cycle
     in the graph layer); an input that fails one gets a warning and the best
     of greedy and random deletion instead.
 
-    Stages: (1) prune vertices over k*c*T^{i-1}(ln T)^{(k-i)/(k-1)}; (2) keep
-    each vertex with probability T^{eps-1}; (3) census the sample and delete
-    one vertex from each 3-cycle and 3-cycle-free 4-cycle (greedy by how many
-    cycles a vertex hits) so the remainder is uncrowded — this is checked;
-    (4) run the uncrowded solver with driving parameter T^eps; for small T,
-    (5) fall back on the random-deletion solver; (6) take the best of the
-    stage result and plain greedy.
+    Stages, with eps = 1/(4k) and the constants c_i of ``mode``: (1) prune
+    vertices over k*c_i*T^{i-1}(ln T)^{(k-i)/(k-1)}; (2) keep each vertex
+    with probability T^{eps-1}; (3) census the sample and delete one vertex
+    from each 3-cycle and 3-cycle-free 4-cycle (greedy by how many cycles a
+    vertex hits) so the remainder is uncrowded — this is checked; (4) run the
+    uncrowded solver with driving parameter T^eps; for small T, (5) fall back
+    on the random-deletion solver; (6) take the best of the stage result and
+    plain greedy.
     """
     t_start = time.perf_counter()
-    params = params or PipelineParams()
+    # an unknown mode raises here, before any solver runs
+    _pruning_constants(h.k, mode)
     broken = None
     if h.has_two_cycle():
         broken = "input has a 2-cycle"
@@ -813,24 +797,27 @@ def linear_solve(h: Hypergraph, params: PipelineParams | None = None, seed: int 
         # outside the pipeline's hypothesis: fall back on the structure-free
         # solvers but still return a verified set
         warnings.warn(f"{broken}; pipeline skipped", stacklevel=2)
-        pick = _best((spencer_solve(h, seed=_mix(seed, 4), trials=params.trials), greedy_solve(h)))
+        pick = _best((spencer_solve(h, seed=_mix(seed, 4), trials=trials), greedy_solve(h)))
         out_params = {"fallback": broken, "chosen": pick.method}
         return _finish(h, "pipeline", seed, out_params, pick.witness, [], t_start)
-    # a call that fails on its parameters pays for no greedy run
-    params.resolved_eps(h.k)
-    return _pipeline(h, params, seed, greedy_solve(h), t_start)
+    return _pipeline(h, T, seed, trials, mode, greedy_solve(h), t_start)
 
 
 def _pipeline(
-    h: Hypergraph, params: PipelineParams, seed: int, gr: SolveReport, t_start: float
+    h: Hypergraph,
+    T: float | None,
+    seed: int,
+    trials: int,
+    mode: str,
+    gr: SolveReport,
+    t_start: float,
 ) -> SolveReport:
     """Stages (1)-(6) of :func:`linear_solve` on an input that meets both
     preconditions, racing the greedy report ``gr``."""
-    profile = h.degree_profile()
-    T = max(params.T if params.T is not None else profile.t_max, 1.5)
+    T = _driving_T(h, T)
     k = h.k
-    eps = params.resolved_eps(k)
-    c_by_size = params.resolved_c(k)
+    eps = 1.0 / (4 * k)
+    c_by_size = _pruning_constants(k, mode)
     ln_t = math.log(T)
     trace: list[dict] = []
 
@@ -883,9 +870,7 @@ def _pipeline(
     tail_T = max(T**eps, 1.5)
     # the tail's hypothesis check lands in its trace; desk-scale samples sit
     # outside the shape routinely, so no warning here
-    tail = uncrowded_solve(
-        h3, T=tail_T, seed=_mix(seed, 3), mode=params.mode, warn_hypothesis=False
-    )
+    tail = uncrowded_solve(h3, T=tail_T, seed=_mix(seed, 3), mode=mode, warn_hypothesis=False)
     mapped = map1[map2[map3[list(tail.witness)]]] if tail.witness else []
     tail_candidate = _finish(
         h, "pipeline", seed, {"stage": "nibble_tail", "T": T, "tail_T": tail_T}, mapped, [], t_start
@@ -898,7 +883,7 @@ def _pipeline(
     trace.append({"event": "tail", "size": tail.size, "tail_T": tail_T})
 
     if T < _SMALL_T:
-        sp = spencer_solve(h, seed=_mix(seed, 4), trials=params.trials)
+        sp = spencer_solve(h, seed=_mix(seed, 4), trials=trials)
         candidates.append(sp)
         trace.append({"event": "small_T_spencer", "size": sp.size})
 
@@ -912,7 +897,7 @@ def _pipeline(
         "c": c_by_size,
         "p": p,
         "chosen": best.method,
-        "mode": params.mode,
+        "mode": mode,
     }
     return _finish(h, "pipeline", seed, params_out, best.witness, trace, t_start)
 
@@ -940,7 +925,7 @@ def best_of(h: Hypergraph, seed: int = 0, trials: int = 200) -> SolveReport:
         candidates.append(uncrowded_solve(h, seed=_mix(seed, 11)))
     elif layer_ok:
         candidates.append(
-            _pipeline(h, PipelineParams(trials=trials), _mix(seed, 12), gr, time.perf_counter())
+            _pipeline(h, None, _mix(seed, 12), trials, "practical", gr, time.perf_counter())
         )
     candidates.append(spencer_solve(h, seed=_mix(seed, 13), trials=trials))
     best = _best(candidates)

@@ -100,7 +100,7 @@ def test_01_oracle_dominance(capsys):
             hi.greedy_solve(h),
             hi.spencer_solve(h, seed=i, trials=100),
             hi.uncrowded_solve(h, seed=i),
-            hi.linear_solve(h, hi.PipelineParams(trials=30), seed=i),
+            hi.linear_solve(h, seed=i, trials=30),
             hi.best_of(h, seed=i, trials=50),
         ]
         for rep in reports:
@@ -241,7 +241,7 @@ def test_05_nibble_step_contract(capsys, girth5_pool):
         T = h.average_degree(2)[1]
         sched = NibbleSchedule.practical(2, T)
         try:
-            cur, cur_map, _ = hi.subsample_prepare(h, T, seed=rep, schedule=sched)
+            cur, cur_map, _ = hi.subsample_prepare(h, sched, seed=rep)
         except hi.errors.WindowUnreachableError as exc:
             cur, cur_map, _ = exc.best_attempt
         for idx, r in enumerate(sched.rounds()):
@@ -317,7 +317,7 @@ def test_07_pipeline_residual_uncrowded(capsys):
         n = int(rng.integers(4000, 6001))
         targets = {2: float(rng.uniform(3.0, 5.0)), 3: float(rng.uniform(3.0, 5.0))}
         h = hi.generate(hi.GenSpec("mixed_linear", n, targets, seed=700 + i))
-        rep = hi.linear_solve(h, hi.PipelineParams(trials=20), seed=i)
+        rep = hi.linear_solve(h, seed=i, trials=20)
         assert rep.verified
         stage = [ev for ev in rep.trace if ev.get("event") == "cycles_removed"]
         assert len(stage) == 1 and stage[0]["residual_uncrowded"]

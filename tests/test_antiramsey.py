@@ -158,6 +158,11 @@ class TestPlanAndFind:
         assert plan.p == pytest.approx((1 / (n * u)) ** (1 / 3) * omega)
         assert plan.log_ok
 
+    @pytest.mark.parametrize("regime", ["Log", "POLY", "", "linear"])
+    def test_unknown_regime_raises(self, regime):
+        with pytest.raises(ValueError, match="unknown regime"):
+            hi.plan_conflict_build(256, {2: 256}, regime=regime)
+
     def test_log_regime_falls_back_when_u_small(self):
         c = small_random_coloring(64, 2, seed=1)
         plan = hi.plan_conflict_build(64, {2: 2}, regime="log")

@@ -489,6 +489,8 @@ class TestArrayPaths:
                 edges.append(list(row))
             if rng.random() < defect:
                 edges.append(edges[int(rng.integers(len(edges)))])
+        if seed % 4 == 0:
+            edges = edges[: int(rng.integers(12))]  # a short list, down to none
         want = _outcome(
             lambda: hi.Hypergraph._from_arrays(
                 n, hypercore._canonical_loop(n, [tuple(e) for e in edges])
@@ -516,14 +518,3 @@ class TestArrayPaths:
         monkeypatch.setattr(hypercore, "_canonical_loop", refuse)
         assert hi.parse_nhg(text) == h
         assert hi.Hypergraph(h.n, reversed(h.edge_tuples())) == h
-
-    def test_few_edges_take_no_numpy_work(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("took the array path")
-
-        monkeypatch.setattr(hypercore, "_canonical_rows", refuse)
-        monkeypatch.setattr(hypercore, "_ints", refuse)
-        assert hi.Hypergraph(5).edge_count() == 0
-        assert hi.Hypergraph(5, []).edge_count() == 0
-        assert hi.Hypergraph(5, [(3, 1)]).edge_tuples() == [(1, 3)]
-        assert hi.Hypergraph(20, [(i, i + 1) for i in range(hypercore._ARRAY_MIN_EDGES - 1)]).k == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -308,8 +309,8 @@ class TestSubsamplePrepare:
         # start round directly and keep every other constant paper-literal
         h = hi.new_hypergraph(1000, [])
         T = math.exp(700)
-        sched = NibbleSchedule.paper_literal(2, T, s=1.0)
-        sub, mapping, info = hi.subsample_prepare(h, T, seed=2, schedule=sched)
+        sched = dataclasses.replace(NibbleSchedule.paper_literal(2, T), s=1.0)
+        sub, mapping, info = hi.subsample_prepare(h, sched, seed=2)
         lo, hi_ = info["window"]
         assert lo <= sub.n <= hi_
         assert info["pruned"] == 0
@@ -318,7 +319,7 @@ class TestSubsamplePrepare:
         edges = [(0, i) for i in range(1, 51)] + [(51 + 2 * j, 52 + 2 * j) for j in range(20)]
         h = hi.new_hypergraph(100, edges)
         sched = NibbleSchedule.practical(2, 2.0)
-        sub, mapping, info = hi.subsample_prepare(h, 2.0, seed=3, schedule=sched)
+        sub, mapping, info = hi.subsample_prepare(h, sched, seed=3)
         assert 0 not in mapping  # the center violates every cap
         assert info["pruned"] >= 1
 
@@ -326,7 +327,7 @@ class TestSubsamplePrepare:
         h = hi.generate(hi.GenSpec("mixed_linear", 400, {2: 3.0, 3: 2.0}, seed=4))
         T = max(h.average_degree(i)[1] for i in h.sizes)
         sched = NibbleSchedule.practical(3, max(T, 1.5))
-        sub, _, info = hi.subsample_prepare(h, max(T, 1.5), seed=5, schedule=sched)
+        sub, _, info = hi.subsample_prepare(h, sched, seed=5)
         for i in sub.sizes:
             assert int(sub.degrees(i).max(initial=0)) <= info["caps"][i] + 1e-9
 
@@ -334,7 +335,7 @@ class TestSubsamplePrepare:
         h = hi.generate(hi.GenSpec("uniform_random", 3000, {2: 3.0, 3: 6.0}, seed=1))
         T = h.degree_profile().t_max
         sched = NibbleSchedule.practical(3, T)
-        sub, mapping, info = hi.subsample_prepare(h, T, seed=1, schedule=sched)
+        sub, mapping, info = hi.subsample_prepare(h, sched, seed=1)
         # rebuild the attempt's pruned sample, which the trim then cut to size
         sample = np.flatnonzero(nibble._rng(1, 900, info["attempt"]).random(h.n) < info["p"])
         pre, pre_map = h.induced(sample)
@@ -346,9 +347,9 @@ class TestSubsamplePrepare:
 
     def test_window_unreachable_reports_best(self):
         h = girth5(300, 4.0, seed=6)
-        sched = NibbleSchedule.practical(2, 4.0, cap_slack=0.01)
+        sched = dataclasses.replace(NibbleSchedule.practical(2, 4.0), cap_slack=0.01)
         with pytest.raises(WindowUnreachableError) as info:
-            hi.subsample_prepare(h, 4.0, seed=7, schedule=sched)
+            hi.subsample_prepare(h, sched, seed=7)
         best_h, best_map, best_info = info.value.best_attempt
         assert best_h.n < 0.75 * h.n
 
@@ -390,7 +391,7 @@ class TestNibbleStep:
         h = girth5(100, 4.0, seed=9)
         sched = NibbleSchedule.paper_literal(2, 100.0)
         with pytest.raises(StepFailedError):
-            hi.nibble_step(h, sched, sched.s, seed=10, attempts=4)
+            hi.nibble_step(h, sched, sched.s, seed=10)
 
     def test_deterministic(self):
         h = girth5(2000, 8.0, seed=12)
@@ -426,6 +427,11 @@ class TestUncrowdedSolve:
         ext = [ev for ev in rep.trace if ev.get("event") == "extended"]
         assert len(ext) == 1 and ext[0]["final"] >= ext[0]["core"]
 
+    @pytest.mark.parametrize("mode", ["Practical", "paper_literal", ""])
+    def test_unknown_mode_raises(self, mode):
+        with pytest.raises(ValueError, match="unknown mode"):
+            hi.uncrowded_solve(girth5(400, 4.0, seed=1), mode=mode)
+
     def test_deterministic(self):
         h = girth5(1500, 6.0, seed=9)
         a = hi.uncrowded_solve(h, seed=10)
@@ -458,8 +464,15 @@ class TestBest:
 class TestLinearSolve:
     def test_k4_fallback_still_verified(self):
         with pytest.warns(UserWarning):
-            rep = hi.linear_solve(hi.fixture("k4"), hi.PipelineParams(T=3.0), seed=1)
+            rep = hi.linear_solve(hi.fixture("k4"), T=3.0, seed=1)
         assert rep.size >= 1 and rep.verified
+
+    def test_unknown_mode_raises_before_the_fallback(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(nibble, "greedy_solve", lambda g: calls.append(g))
+        with pytest.raises(ValueError, match="unknown mode 'Paper'"):
+            hi.linear_solve(hi.fixture("k4"), seed=1, mode="Paper")
+        assert calls == []
 
     def test_two_cycle_falls_back(self):
         h = hi.new_hypergraph(6, [(0, 1, 2), (1, 2, 3), (3, 4), (4, 5)])
@@ -474,26 +487,20 @@ class TestLinearSolve:
 
     def test_mixed_linear_residual_uncrowded(self):
         h = hi.generate(hi.GenSpec("mixed_linear", 5000, {2: 4.0, 3: 4.0}, seed=3))
-        rep = hi.linear_solve(h, hi.PipelineParams(trials=30), seed=4)
+        rep = hi.linear_solve(h, seed=4, trials=30)
         info = [ev for ev in rep.trace if ev.get("event") == "cycles_removed"]
         assert len(info) == 1 and info[0]["residual_uncrowded"]
         assert rep.verified
 
-    def test_eps_validation(self):
-        with pytest.raises(ValueError):
-            hi.PipelineParams(eps=0.2).resolved_eps(k=3)
-
     def test_pruning_constants_by_mode(self):
-        practical = hi.PipelineParams().resolved_c(3)
+        practical = nibble._pruning_constants(3, "practical")
         assert practical == {2: 1.0, 3: 1.0}
-        paper = hi.PipelineParams(mode="paper").resolved_c(3)
+        paper = nibble._pruning_constants(3, "paper")
         for i in (2, 3):
             want = min(
                 1.0, 2.0**-9 * 3**-6 * math.comb(2, i - 1) * 10.0 ** (-3 * (3 - i) / 2)
             )
             assert paper[i] == pytest.approx(want)
-        override = hi.PipelineParams(c={2: 0.5}).resolved_c(3)
-        assert override == {2: 0.5, 3: 1.0}
 
     def test_cycle_deletion_left_a_cycle_raises(self, monkeypatch):
         h = hi.generate(hi.GenSpec("mixed_linear", 300, {2: 4.0, 3: 4.0}, seed=1))
@@ -530,16 +537,16 @@ class TestLinearSolve:
         on_input = sorted(name for name, g in checks if g is h)
         assert on_input == ["graph_layer_ok", "has_two_cycle"]
         # a call that fails on its parameters pays for no greedy run
-        with pytest.raises(ValueError):
-            hi.linear_solve(h, hi.PipelineParams(eps=0.2), seed=4)
+        with pytest.raises(ValueError, match="unknown mode 'Paper'"):
+            hi.linear_solve(h, seed=4, mode="Paper")
         assert len(calls) == 1
         hi.linear_solve(h, seed=4)
         assert len(calls) == 2
 
     def test_deterministic(self):
         h = hi.generate(hi.GenSpec("mixed_linear", 1200, {2: 3.0, 3: 3.0}, seed=5))
-        a = hi.linear_solve(h, hi.PipelineParams(trials=20), seed=6)
-        b = hi.linear_solve(h, hi.PipelineParams(trials=20), seed=6)
+        a = hi.linear_solve(h, seed=6, trials=20)
+        b = hi.linear_solve(h, seed=6, trials=20)
         assert a.witness == b.witness
 
 
