@@ -279,7 +279,8 @@ def validate_coloring(c: Coloring) -> list[dict]:
 
     (a) each class is a matching, (b) one edge size per color, (c) a size-s
     class has at most ``bounds[s]`` edges. The tests run on the CSR. Records
-    come class by class: the size-mix record, then per edge its
+    come class by class: the size-mix record, the declared-size record (an
+    edge whose size is not the class's ``size``), then per edge its
     repeated-vertex, out-of-range and shared-vertex records, then the bound
     records by ascending size; after all classes, one record per edge whose
     exact tuple an earlier edge already had.
@@ -308,6 +309,11 @@ def validate_coloring(c: Coloring) -> list[dict]:
     for cid in np.flatnonzero(per_class > 1).tolist():
         mixed = [int(lens[j]) for j in heads if edge_class[j] == cid]
         found.append(((0, cid, 0), "b", cid, f"mixed sizes {mixed}"))
+    # (b) the declared size of a class against its edges
+    for cid in np.unique(edge_class[lens != c.class_size[edge_class]]).tolist():
+        sizes = [int(lens[j]) for j in heads if edge_class[j] == cid]
+        detail = f"declared size {c.class_size[cid]} but edges of sizes {sizes}"
+        found.append(((0, cid, 0, 1), "b", cid, detail))
     # (a) per edge: a repeated vertex, a vertex out of range
     key = np.sort((c._id_edge.astype(np.int64) << 32) + (ids + 2**31))
     for j in sorted(set((key[1:][key[1:] == key[:-1]] >> 32).tolist())):

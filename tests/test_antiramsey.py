@@ -81,6 +81,14 @@ class TestValidateColoring:
         c = fresh_coloring(6, u=1, classes=[ColorClass(2, [(0, 1), (2, 3)])])
         assert any(x["rule"] == "c" for x in hi.validate_coloring(c))
 
+    def test_declared_size_checked(self):
+        c = hi.Coloring(6, 3, {2: 2, 3: 2}, [ColorClass(2, [(0, 1, 2), (3, 4, 5)])])
+        assert hi.validate_coloring(c) == [
+            {"rule": "b", "class": 0, "detail": "declared size 2 but edges of sizes [3]"}
+        ]
+        empty = hi.Coloring(6, 3, {2: 2, 3: 2}, [ColorClass(3, [])])
+        assert hi.validate_coloring(empty) == []
+
 
 class TestCollisions:
     def test_tiny_probe_always_multicolored(self):
@@ -368,10 +376,13 @@ def reference_matching_coloring(n, params):
 def reference_records(n, bounds, classes):
     """The three coloring conditions, edge by edge."""
     violations = []
-    for cid, (_, edges) in enumerate(classes):
+    for cid, (declared, edges) in enumerate(classes):
         sizes = {len(e) for e in edges}
         if len(sizes) > 1:
             violations.append({"rule": "b", "class": cid, "detail": f"mixed sizes {sorted(sizes)}"})
+        if any(len(e) != declared for e in edges):
+            detail = f"declared size {declared} but edges of sizes {sorted(sizes)}"
+            violations.append({"rule": "b", "class": cid, "detail": detail})
         used = {}
         for e in edges:
             if len(e) != len(set(e)):
@@ -584,4 +595,4 @@ class TestColoringParseErrors:
         doc = {**self.DOC, "classes": [{"size": 2, "edges": [[0, 1], [1, 9], [3, 3, 3]]}]}
         path.write_text(json.dumps(doc), encoding="ascii")
         rules = [v["rule"] for v in hi.validate_coloring(load_coloring(path))]
-        assert rules == ["b", "a", "a", "a", "a", "a", "c"]
+        assert rules == ["b", "b", "a", "a", "a", "a", "a", "c"]
