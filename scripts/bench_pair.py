@@ -9,9 +9,15 @@ the same seed with tracing off, alternating which side runs first, each run
 as long as ``run_seconds`` in BENCHMARK.json; then one traced pair of each
 workload.
 
+``setup_s`` is one cold-start reading per run (interpreter, numpy and the
+package import), so the file also records, per side, the wall time of
+``IMPORT_LAUNCHES`` cold ``python -c "import hyperindep.harness"`` launches,
+alternating sides: a reference for judging ``setup_s``.
+
 The file records every run's metrics, each side's median and quartiles per
-end-to-end metric, the number of pairs the after side won (ties count for
-neither), both SHAs, nproc, and the Python and numpy versions.
+end-to-end metric and of the import launches, the number of pairs the after
+side won (ties count for neither), both SHAs, nproc, and the Python and numpy
+versions.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +41,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("girth5_best", "mixed_best", "rainbow_sweep")
 FIRST_SEED = 1001  # seeds 1001.. were not used while the code was written
 PAIRS = 10
+IMPORT_LAUNCHES = 20  # per side
 
 
 def git(*args: str) -> str:
@@ -62,6 +70,26 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     result["metrics"] = {name: m["value"] for name, m in result["metrics"].items()}
     return result
+
+
+def import_seconds(tree: Path) -> float:
+    """Wall time of one cold interpreter that imports the CLI module of the
+    package under ``tree``."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    argv = [sys.executable, "-c", "import hyperindep.harness"]
+    t0 = time.perf_counter()
+    subprocess.run(argv, cwd=tree, env=env, check=True, capture_output=True)
+    return time.perf_counter() - t0
+
+
+def import_launches(trees: dict[str, Path]) -> dict:
+    """``IMPORT_LAUNCHES`` cold imports per side, alternating which side
+    goes first; every reading and each side's median and quartiles."""
+    runs: dict[str, list[float]] = {side: [] for side in trees}
+    for i in range(IMPORT_LAUNCHES):
+        for side in (("before", "after") if i % 2 == 0 else ("after", "before")):
+            runs[side].append(import_seconds(trees[side]))
+    return {side: {**quartiles(values), "runs": values} for side, values in runs.items()}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -109,6 +137,7 @@ def main(argv=None) -> int:
             "platform": platform.platform(),
         },
         "pairs": PAIRS,
+        "import_s": {},
         "workloads": {},
         "traced": {},
     }
@@ -118,6 +147,8 @@ def main(argv=None) -> int:
         for side, sha in shas.items():
             trees[side] = scratch / side
             export(sha, trees[side])
+        doc["import_s"] = import_launches(trees)
+        sys.stderr.write(f"import_s: {doc['import_s']}\n")
         for workload in WORKLOADS:
             pairs = []
             for i in range(PAIRS):

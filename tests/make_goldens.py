@@ -226,8 +226,9 @@ def _save_text(text: str):
 
 
 # a coloring file that breaks all three rules: class 0 shares vertex 1 and
-# exceeds u_2 = 1, class 1 mixes sizes and has a repeated vertex, and class 2
-# repeats an edge of class 0 and has a size with no bound
+# exceeds u_2 = 1, class 1 mixes sizes and has a repeated vertex, class 2
+# repeats an edge of class 0 and has a size with no bound, and classes 1 and 2
+# hold an edge that is not of their declared size
 MALFORMED_COLORING = json.dumps(
     {
         "schema_version": 1,
