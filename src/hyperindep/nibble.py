@@ -399,10 +399,10 @@ def _choose(options: dict, what: str, key: str):
     return options[key]
 
 
-def _driving_T(h: Hypergraph, T: float | None) -> float:
+def _driving_T(T: float | None, t_max: float) -> float:
     """The driving parameter of the nibble and the pipeline: ``T``, by
-    default the largest average degree, and never below 1.5."""
-    return max(T if T is not None else h.degree_profile().t_max, 1.5)
+    default the largest average degree ``t_max``, and never below 1.5."""
+    return max(T if T is not None else t_max, 1.5)
 
 
 # ----------------------------------------------------------------------
@@ -631,7 +631,7 @@ def uncrowded_solve(
     t_start = time.perf_counter()
     plan = _choose(_PLANS, "mode", mode)
     profile = h.degree_profile()
-    T = _driving_T(h, T)
+    T = _driving_T(T, profile.t_max)
     sched = plan(h.k, T)
     trace: list[dict] = []
     for i in h.sizes:
@@ -814,7 +814,7 @@ def _pipeline(
 ) -> SolveReport:
     """Stages (1)-(6) of :func:`linear_solve` on an input that meets both
     preconditions, racing the greedy report ``gr``."""
-    T = _driving_T(h, T)
+    T = _driving_T(T, h.degree_profile().t_max)
     k = h.k
     eps = 1.0 / (4 * k)
     c_by_size = _pruning_constants(k, mode)
